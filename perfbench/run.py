@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload flood --seed 1964 --seconds 60 --trace 0
+    python3 perfbench/run.py --workload flood --seed 1964 --seconds 50 --trace 0
 
 The script builds the `perfbench` package (its own cargo workspace, with
 path dependencies on the repository's crates), then spends `--seconds`
@@ -62,9 +62,18 @@ MIN_RUNS = 1
 # Simulated days of the discarded warm-up run that precedes the
 # measured ones (the first process after a pause runs slow).
 WARMUP_DAYS = 0.05
-# Set-up-only processes per invocation (`setup_s` is their median
-# together with the measured runs' set-up times).
-SETUP_PROBES = 25
+# Set-up-only processes at the start, before each measured run and at
+# the end (`setup_s` is their median together with the measured runs'
+# set-up times). The cost of starting a process drifts by up to 1.8x
+# within minutes on a shared host, so the probes are spread over the
+# whole invocation rather than taken at one moment.
+SETUP_PROBES = 10
+# Wall-clock budget of one invocation after the build, in seconds. It
+# holds a traced `reproduce` invocation (two runs of about 20 s) even when
+# the host runs three times slower than usual. No process starts that the
+# budget cannot hold, and every worker's timeout ends with the budget,
+# so an invocation never outlives it by more than the final checks.
+BUDGET_S = 150.0
 
 END_TO_END = [
     ("setup_s", "s"),
@@ -131,7 +140,7 @@ def build():
     return path
 
 
-def spawn(binary, args, timeout=170):
+def spawn(binary, args, timeout=BUDGET_S):
     """Run one worker process; returns (t_spawn_unix_ns, output dict or None)."""
     t0 = time.time_ns()
     try:
@@ -140,7 +149,7 @@ def spawn(binary, args, timeout=170):
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            timeout=timeout,
+            timeout=max(1.0, timeout),
         )
     except subprocess.TimeoutExpired:
         print(f"perfbench: worker timed out: {args}", file=sys.stderr)
@@ -231,8 +240,15 @@ def quartile_spread(values):
     return (q[2] - q[0]) / med if med else 0.0
 
 
-def provenance(binary, workload, days, config):
-    _, cal = spawn(binary, ["--workload", workload, "--seed", 0, "--days", days, "--mode", "calibrate"])
+def provenance(binary, workload, days, config, deadline=None):
+    left = BUDGET_S if deadline is None else deadline - time.monotonic()
+    cal = None
+    if left > 10.0:
+        _, cal = spawn(
+            binary,
+            ["--workload", workload, "--seed", 0, "--days", days, "--mode", "calibrate"],
+            timeout=left,
+        )
     cpu = "unknown"
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -260,8 +276,17 @@ def provenance(binary, workload, days, config):
     }
 
 
-def run_workload(binary, workload, seed, seconds, traced, days=None, out_dir=None):
-    """All the runs of one invocation. Returns a summary dict."""
+def run_workload(binary, workload, seed, seconds, traced, days=None, out_dir=None, deadline=None):
+    """All the runs of one invocation. Returns a summary dict.
+
+    `deadline` (a `time.monotonic()` value, default `BUDGET_S` from now)
+    bounds every process the invocation starts.
+    """
+    deadline = time.monotonic() + BUDGET_S if deadline is None else deadline
+
+    def left():
+        return deadline - time.monotonic()
+
     spec = WORKLOADS[workload]
     days = spec["days"] if days is None else days
     base = ["--workload", workload, "--seed", seed, "--days", days]
@@ -271,29 +296,40 @@ def run_workload(binary, workload, seed, seconds, traced, days=None, out_dir=Non
     prefix_reasons = []
     if spec["prefix_days"] is not None:
         pdays = min(spec["prefix_days"], days)
-        _, p = spawn(binary, ["--workload", workload, "--seed", seed, "--days", pdays, "--mode", "prefix"])
+        _, p = spawn(
+            binary, ["--workload", workload, "--seed", seed, "--days", pdays, "--mode", "prefix"], timeout=left()
+        )
         prefix_reasons = check_prefix(p)
-    spawn(binary, ["--workload", workload, "--seed", seed, "--days", min(WARMUP_DAYS, days)])
+    spawn(binary, ["--workload", workload, "--seed", seed, "--days", min(WARMUP_DAYS, days)], timeout=left())
     setup = []
-    for _ in range(SETUP_PROBES):
-        t0, out = spawn(binary, base + ["--mode", "setup"])
-        if out is not None:
-            setup.append((out["t_campaign_start_unix_ns"] - t0) / 1e9)
+
+    def probe_setup():
+        for _ in range(SETUP_PROBES):
+            t0, out = spawn(binary, base + ["--mode", "setup"], timeout=left())
+            if out is not None:
+                setup.append((out["t_campaign_start_unix_ns"] - t0) / 1e9)
+
+    probe_setup()
 
     # Measured runs: fresh processes until the time is spent. A traced
-    # invocation keeps room for its one traced run at the end.
+    # invocation keeps room for its one traced run at the end. A run
+    # that would not end within the budget is not started.
     runs = []  # (t0, output or None, traced)
     start = time.monotonic()
     while True:
         durations = [(o["t_end_unix_ns"] - t) / 1e9 for t, o, _ in runs if o]
         est = statistics.median(durations) if durations else 0.0
         reserve = est if traced else 0.0
-        if len(runs) >= MIN_RUNS and time.monotonic() - start + est + reserve > seconds:
+        if len(runs) >= MIN_RUNS and (
+            time.monotonic() - start + est + reserve > seconds or est + reserve > left()
+        ):
             break
-        t0, out = spawn(binary, base)
+        probe_setup()
+        t0, out = spawn(binary, base, timeout=left())
         runs.append((t0, out, False))
+    probe_setup()
     if traced:
-        t0, out = spawn(binary, base + ["--trace", 1, "--out", out_dir])
+        t0, out = spawn(binary, base + ["--trace", 1, "--out", out_dir], timeout=left())
         runs.append((t0, out, True))
 
     outputs = [o for _, o, _ in runs if o is not None]
@@ -408,8 +444,9 @@ def main(argv=None):
     binary = build()
     if binary is None:
         return 1
-    summary = run_workload(binary, a.workload, a.seed, a.seconds, a.trace == 1)
-    prov = provenance(binary, a.workload, summary["days"], summary["config"])
+    deadline = time.monotonic() + BUDGET_S
+    summary = run_workload(binary, a.workload, a.seed, a.seconds, a.trace == 1, deadline=deadline)
+    prov = provenance(binary, a.workload, summary["days"], summary["config"], deadline)
     print("provenance: " + json.dumps(prov, sort_keys=True))
     for name, why in NOT_IN_BENCHMARK.items():
         print(f"not in BENCHMARK.json: workload {name}: {why}")
