@@ -16,12 +16,14 @@
 //! measurement peer only sees hits that travel back through it.
 
 use geoip::{GeoDb, Region};
+use gnutella::routing::RandomKeyHasher;
 use gnutella::Guid;
 use serde::{Deserialize, Serialize};
 use stats::correlation::spearman;
 use stats::{Ecdf, Series};
 use std::collections::HashMap;
-use trace::{RecordedPayload, Trace};
+use std::hash::BuildHasherDefault;
+use trace::{MsgKind, Sections, Trace};
 
 /// Hit statistics for one peer class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -72,54 +74,76 @@ pub struct HitRateAnalysis {
 }
 
 /// Attribute QUERYHITs to one-hop queries by GUID and characterize.
+///
+/// Two projected passes over the trace: KIND/GUID/HIT tallies the hits
+/// per GUID, then KIND/HOPS/GUID/SESSION visits the one-hop queries.
 pub fn hit_rate(trace: &Trace, db: &GeoDb) -> HitRateAnalysis {
-    // Hits per query GUID.
-    let mut hits: HashMap<Guid, (u64, u64)> = HashMap::new();
-    for m in &trace.messages {
-        if let RecordedPayload::QueryHit { results, .. } = &m.payload {
-            let e = hits.entry(m.guid).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += u64::from(*results);
-        }
-    }
+    let query = MsgKind::Query as u8;
+    let query_hit = MsgKind::QueryHit as u8;
 
+    // Hits per query GUID: (hit messages, result records).
+    let mut hits: HashMap<Guid, (u64, u64), BuildHasherDefault<RandomKeyHasher>> =
+        HashMap::default();
+    let sections = Sections::KIND | Sections::GUID | Sections::HIT;
+    trace.messages.for_each_batch(sections, |b| {
+        for i in 0..b.rows() {
+            if b.kind[i] == query_hit {
+                let e = hits.entry(b.guid[i]).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += u64::from(b.hit_results[b.arg[i] as usize]);
+            }
+        }
+    });
+
+    // Region per connection, resolved once; queries on a session without
+    // a connection record count as `Other`.
+    let regions: Vec<Region> = trace
+        .connections
+        .iter()
+        .map(|c| db.lookup(c.addr))
+        .collect();
     let mut per_region = [HitRateStats::default(); 4];
     let mut overall = HitRateStats::default();
     let mut hit_counts: Vec<f64> = Vec::new();
-    // Per session: (queries, answered).
-    let mut per_session: HashMap<u64, (u64, u64)> = HashMap::new();
+    // Per dense session id: (queries, answered).
+    let mut per_session: Vec<(u64, u64)> = vec![(0, 0); regions.len()];
 
-    for m in &trace.messages {
-        if !m.is_one_hop_query() {
-            continue;
-        }
-        let region = trace
-            .connection(m.session)
-            .map(|c| db.lookup(c.addr))
-            .unwrap_or(Region::Other);
-        let (h, r) = hits.get(&m.guid).copied().unwrap_or((0, 0));
-        for stats in [&mut per_region[region.index()], &mut overall] {
-            stats.queries += 1;
-            stats.hit_messages += h;
-            stats.results += r;
+    let sections = Sections::KIND | Sections::HOPS | Sections::GUID | Sections::SESSION;
+    trace.messages.for_each_batch(sections, |b| {
+        for i in 0..b.rows() {
+            if b.kind[i] != query || b.hops[i] != 1 {
+                continue;
+            }
+            let session = b.session[i] as usize;
+            let region = regions.get(session).copied().unwrap_or(Region::Other);
+            let (h, r) = hits.get(&b.guid[i]).copied().unwrap_or((0, 0));
+            for stats in [&mut per_region[region.index()], &mut overall] {
+                stats.queries += 1;
+                stats.hit_messages += h;
+                stats.results += r;
+                if h > 0 {
+                    stats.answered += 1;
+                }
+            }
+            hit_counts.push(h as f64);
+            if session >= per_session.len() {
+                per_session.resize(session + 1, (0, 0));
+            }
+            let s = &mut per_session[session];
+            s.0 += 1;
             if h > 0 {
-                stats.answered += 1;
+                s.1 += 1;
             }
         }
-        hit_counts.push(h as f64);
-        let s = per_session.entry(m.session.0).or_insert((0, 0));
-        s.0 += 1;
-        if h > 0 {
-            s.1 += 1;
-        }
-    }
+    });
 
     let hits_ccdf = Ecdf::new(hit_counts).ok().map(|e| e.ccdf_series_exact());
 
-    // Correlation: session query count vs answered fraction.
+    // Correlation: session query count vs answered fraction, in session
+    // id order.
     let mut xs = Vec::new();
     let mut ys = Vec::new();
-    for (_, (q, a)) in per_session {
+    for (q, a) in per_session {
         if q > 0 {
             xs.push(q as f64);
             ys.push(a as f64 / q as f64);
@@ -144,7 +168,7 @@ mod tests {
     use super::*;
     use simnet::SimTime;
     use std::net::Ipv4Addr;
-    use trace::{ConnectionRecord, MessageRecord, SessionId};
+    use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 
     fn guid(n: u8) -> Guid {
         Guid([n; 16])

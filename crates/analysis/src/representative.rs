@@ -12,10 +12,40 @@
 //! shared-files curve.
 
 use geoip::{GeoDb, Region};
+use simnet::SimTime;
 use stats::histogram::Histogram;
 use stats::Series;
 use std::collections::HashMap;
-use trace::{RecordedPayload, Trace};
+use std::hash::{BuildHasherDefault, Hasher};
+use trace::{MsgKind, Sections, Trace};
+
+/// Hasher for the `u32`-keyed address maps below: one multiply per key,
+/// folded so that every address bit reaches both the low bits the map
+/// picks a bucket with and the high bits it tags slots with. (XOR-folding,
+/// as `gnutella::routing::RandomKeyHasher` does for 16-byte GUIDs, would
+/// leave the high 32 bits of a 4-byte key zero and give every address
+/// the same tag.)
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// First advertised shared-file count per address (`u32` form).
+type AddrMap = HashMap<u32, u32, BuildHasherDefault<AddrHasher>>;
 
 /// One Figure 1 panel: one-hop vs all-peers fraction per hour for a region.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,18 +66,22 @@ pub fn geo_representativeness(trace: &Trace, db: &GeoDb) -> Vec<(Region, GeoPane
     }
     // All peers: hops ≥ 2 PONG / QUERYHIT addresses by (hour, region).
     let mut all = [[0u64; 24]; 4];
-    for m in &trace.messages {
-        if m.hops < 2 {
-            continue;
+    let sections = Sections::AT | Sections::KIND | Sections::HOPS | Sections::PONG | Sections::HIT;
+    trace.messages.for_each_batch(sections, |b| {
+        for i in 0..b.rows() {
+            if b.hops[i] < 2 {
+                continue;
+            }
+            let arg = b.arg[i] as usize;
+            let addr = match MsgKind::from_u8(b.kind[i]) {
+                MsgKind::Pong => b.pong_addr[arg],
+                MsgKind::QueryHit => b.hit_addr[arg],
+                _ => continue,
+            };
+            let h = SimTime::from_millis(b.at_ms[i]).hour_of_day() as usize;
+            all[db.lookup(addr).index()][h] += 1;
         }
-        let addr = match &m.payload {
-            RecordedPayload::Pong { addr, .. } => *addr,
-            RecordedPayload::QueryHit { addr, .. } => *addr,
-            _ => continue,
-        };
-        let h = m.at.hour_of_day() as usize;
-        all[db.lookup(addr).index()][h] += 1;
-    }
+    });
     let hours: Vec<f64> = (0..24).map(|h| h as f64 + 0.5).collect();
     let fraction = |table: &[[u64; 24]; 4], region: Region| -> Vec<f64> {
         (0..24)
@@ -87,18 +121,25 @@ pub struct SharedFilesPanel {
 
 /// Compute the Figure 2 comparison.
 pub fn shared_files_representativeness(trace: &Trace) -> SharedFilesPanel {
-    let mut one_hop_seen: HashMap<std::net::Ipv4Addr, u32> = HashMap::new();
-    let mut all_seen: HashMap<std::net::Ipv4Addr, u32> = HashMap::new();
-    for m in &trace.messages {
-        if let RecordedPayload::Pong { addr, shared_files } = &m.payload {
-            if m.hops == 1 {
-                one_hop_seen.entry(*addr).or_insert(*shared_files);
-            } else {
-                all_seen.entry(*addr).or_insert(*shared_files);
+    let mut one_hop_seen = AddrMap::default();
+    let mut all_seen = AddrMap::default();
+    let sections = Sections::KIND | Sections::HOPS | Sections::PONG;
+    trace.messages.for_each_batch(sections, |b| {
+        for i in 0..b.rows() {
+            if b.kind[i] != MsgKind::Pong as u8 {
+                continue;
             }
+            let seen = if b.hops[i] == 1 {
+                &mut one_hop_seen
+            } else {
+                &mut all_seen
+            };
+            let arg = b.arg[i] as usize;
+            seen.entry(u32::from(b.pong_addr[arg]))
+                .or_insert(b.pong_files[arg]);
         }
-    }
-    let to_series = |map: &HashMap<std::net::Ipv4Addr, u32>, label: &str| -> Series {
+    });
+    let to_series = |map: &AddrMap, label: &str| -> Series {
         let mut h = Histogram::new(0.0, 101.0, 101).expect("valid histogram");
         for &files in map.values() {
             h.add(f64::from(files.min(200)));
@@ -134,7 +175,7 @@ mod tests {
     use super::*;
     use simnet::SimTime;
     use std::net::Ipv4Addr;
-    use trace::{ConnectionRecord, MessageRecord, SessionId};
+    use trace::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 
     fn test_guid() -> gnutella::Guid {
         gnutella::Guid([7; 16])

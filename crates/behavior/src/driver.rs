@@ -552,7 +552,12 @@ pub fn run_population_sharded_into(
                     deques[w].lock().extend((w..n_shards).step_by(threads));
                     barrier.wait();
                     loop {
-                        let task = deques[w].lock().pop_front().or_else(|| {
+                        // Release the own-deque guard before stealing: held
+                        // across the steal, two workers that empty their
+                        // deques together each hold their own lock and
+                        // wait for the other's, forever.
+                        let own = deques[w].lock().pop_front();
+                        let task = own.or_else(|| {
                             // Steal from the back of the first non-empty
                             // victim: back-stealing takes the work the
                             // owner would reach last, minimizing contention

@@ -7,14 +7,15 @@
 //! [`trace::MessageColumns`]: `seal` pushes one full chunk of a
 //! realistic message mix (sealing included), `decode` replays a sealed
 //! store batch-at-a-time, the same path the vectorized analysis kernels
-//! use.
+//! use, once with every section and once per projection the kernels
+//! ask for.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gnutella::{Guid, QueryId};
 use simnet::SimTime;
 use std::net::Ipv4Addr;
 use trace::chunk::{decode_id_column, decode_time_column, encode_id_column, encode_time_column};
-use trace::{MessageColumns, MessageRecord, RecordedPayload, SessionId, CHUNK_ROWS};
+use trace::{MessageColumns, MessageRecord, RecordedPayload, Sections, SessionId, CHUNK_ROWS};
 
 /// Arrival-ordered millisecond timestamps with sub-second jitter — the
 /// shape a real campaign produces (FOR width lands around 20 bits).
@@ -139,15 +140,29 @@ fn bench_records(c: &mut Criterion) {
     let mut sealed = MessageColumns::with_capacity(CHUNK_ROWS);
     sealed.push_batch(&records, &wire_lens);
     assert_eq!(sealed.sealed_chunks(), 1, "mix must seal exactly one chunk");
-    group.bench_function("decode_64k", |b| {
-        b.iter(|| {
-            let mut hops = 0u64;
-            sealed.for_each_batch(|batch| {
-                hops += batch.hops.iter().map(|&h| u64::from(h)).sum::<u64>();
-            });
-            black_box(hops)
-        })
-    });
+    // Full decode, then the projections the analysis kernels use: the
+    // gap between `decode_64k` and `decode_kind_hops_64k` is what the
+    // skipped sections cost, and `decode_kind_hops_pong_64k` adds the
+    // PONG side table plus the `arg` rebuild that indexes it.
+    for (name, sections) in [
+        ("decode_64k", Sections::ALL),
+        ("decode_kind_hops_64k", Sections::KIND | Sections::HOPS),
+        (
+            "decode_kind_hops_pong_64k",
+            Sections::KIND | Sections::HOPS | Sections::PONG,
+        ),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut hops = 0u64;
+                sealed.for_each_batch(black_box(sections), |batch| {
+                    hops += batch.hops.iter().map(|&h| u64::from(h)).sum::<u64>();
+                    hops += batch.arg.last().copied().map_or(0, u64::from);
+                });
+                black_box(hops)
+            })
+        });
+    }
     group.finish();
 }
 

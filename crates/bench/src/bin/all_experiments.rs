@@ -20,7 +20,10 @@ fn n_jobs(n_experiments: usize) -> usize {
 }
 
 fn main() {
-    let ctx = ExperimentContext::from_env();
+    let ctx = ExperimentContext::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("# Experiment report (scale: {:?})", ctx.scale);
     println!(
         "# trace: {} connections, {} filtered sessions, {} observed days\n",

@@ -221,17 +221,6 @@ struct PerfReport {
     runs: Vec<PerfRun>,
 }
 
-fn scale_by_name(name: &str) -> Option<Scale> {
-    match name {
-        "smoke" => Some(Scale::Smoke),
-        "default" => Some(Scale::Default),
-        "cap200" => Some(Scale::Cap200),
-        "full" => Some(Scale::Full),
-        "mega" => Some(Scale::Mega),
-        _ => None,
-    }
-}
-
 fn fidelity_by_name(name: &str) -> Option<Fidelity> {
     match name {
         "full" => Some(Fidelity::Full),
@@ -951,7 +940,7 @@ fn main() {
 
     let mut runs = Vec::new();
     for scale_name in &scales {
-        let scale = scale_by_name(scale_name)
+        let scale = Scale::from_name(scale_name)
             .unwrap_or_else(|| panic!("unknown scale {scale_name:?} in P2PQ_PERF_SCALES"));
         // Streaming first: its RSS measurement must not inherit pages the
         // allocator retains from a prior materialized trace.

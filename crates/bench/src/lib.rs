@@ -6,7 +6,7 @@
 //! data. The context — a simulated measurement campaign plus its filtered
 //! and popularity views — is built once per process at a scale set by the
 //! `P2PQ_SCALE` environment variable (`smoke`, `default`, `cap200`,
-//! `full`, or `mega`).
+//! `full`, or `mega`; unset means `default`, anything else is an error).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,15 +41,38 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from `P2PQ_SCALE`.
-    pub fn from_env() -> Scale {
-        match std::env::var("P2PQ_SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("cap200") => Scale::Cap200,
-            Ok("full") => Scale::Full,
-            Ok("mega") => Scale::Mega,
-            _ => Scale::Default,
+    /// Every scale name, in the order [`Scale::from_name`] lists them.
+    pub const NAMES: [&'static str; 5] = ["smoke", "default", "cap200", "full", "mega"];
+
+    /// The scale called `name` (one of [`Scale::NAMES`]).
+    pub fn from_name(name: &str) -> Option<Scale> {
+        match name {
+            "smoke" => Some(Scale::Smoke),
+            "default" => Some(Scale::Default),
+            "cap200" => Some(Scale::Cap200),
+            "full" => Some(Scale::Full),
+            "mega" => Some(Scale::Mega),
+            _ => None,
         }
+    }
+
+    /// Read the scale from `P2PQ_SCALE`: [`Scale::Default`] when unset,
+    /// and an error naming the valid scales for any value that is not
+    /// one of them, so a mistyped scale never runs the default.
+    pub fn from_env() -> Result<Scale, String> {
+        Scale::from_setting(std::env::var_os("P2PQ_SCALE").as_deref())
+    }
+
+    fn from_setting(value: Option<&std::ffi::OsStr>) -> Result<Scale, String> {
+        let Some(v) = value else {
+            return Ok(Scale::Default);
+        };
+        v.to_str().and_then(Scale::from_name).ok_or_else(|| {
+            format!(
+                "unknown P2PQ_SCALE {v:?}; valid scales: {}",
+                Scale::NAMES.join(", ")
+            )
+        })
     }
 
     /// The population configuration at this scale.
@@ -148,9 +171,9 @@ impl ExperimentContext {
         }
     }
 
-    /// Build at the environment-selected scale.
-    pub fn from_env() -> ExperimentContext {
-        ExperimentContext::build(Scale::from_env())
+    /// Build at the environment-selected scale (see [`Scale::from_env`]).
+    pub fn from_env() -> Result<ExperimentContext, String> {
+        Ok(ExperimentContext::build(Scale::from_env()?))
     }
 }
 
@@ -327,8 +350,23 @@ mod tests {
     fn scale_from_env_defaults() {
         // Without the env var set, the default scale applies.
         std::env::remove_var("P2PQ_SCALE");
-        assert_eq!(Scale::from_env(), Scale::Default);
+        assert_eq!(Scale::from_env(), Ok(Scale::Default));
         let cfg = Scale::Smoke.population();
         assert!(cfg.days < 1.0);
+    }
+
+    #[test]
+    fn scale_setting_is_strict() {
+        use std::ffi::OsStr;
+        for name in Scale::NAMES {
+            let scale = Scale::from_setting(Some(OsStr::new(name))).unwrap();
+            assert_eq!(Scale::from_name(name), Some(scale));
+        }
+        for bad in ["mgea", "", "Smoke", "default "] {
+            let err = Scale::from_setting(Some(OsStr::new(bad))).unwrap_err();
+            for name in Scale::NAMES {
+                assert!(err.contains(name), "{err:?} does not list {name}");
+            }
+        }
     }
 }

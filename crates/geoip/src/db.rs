@@ -38,9 +38,49 @@ impl PrefixEntry {
 }
 
 /// Longest-prefix-match IPv4 geolocation database.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+///
+/// Lookups go through an exact first-octet index: bucket `b` lists, in
+/// `entries` order (longest prefix first), every prefix that can match
+/// an address whose first octet is `b`, so a lookup scans only the
+/// candidates for its octet and still returns the longest match. The
+/// index is derived from `entries`: it is kept in step by
+/// [`GeoDb::add_prefix`], rebuilt on deserialization, and never
+/// serialized.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GeoDb {
     entries: Vec<PrefixEntry>,
+    #[serde(skip)]
+    by_octet: Box<[Vec<PrefixEntry>; 256]>,
+}
+
+impl Default for GeoDb {
+    fn default() -> Self {
+        GeoDb {
+            entries: Vec::new(),
+            by_octet: Box::new(std::array::from_fn(|_| Vec::new())),
+        }
+    }
+}
+
+/// Rebuilds the index: only the prefixes travel through serde.
+impl Deserialize for GeoDb {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Stored {
+            entries: Vec<PrefixEntry>,
+        }
+        let mut db = GeoDb::new();
+        for e in Stored::from_value(v)?.entries {
+            if e.len > 32 {
+                return Err(serde::Error::msg(format!(
+                    "prefix length {} out of range",
+                    e.len
+                )));
+            }
+            db.insert(e);
+        }
+        Ok(db)
+    }
 }
 
 impl GeoDb {
@@ -52,14 +92,26 @@ impl GeoDb {
     /// Add a prefix; later longer prefixes take precedence over shorter.
     pub fn add_prefix(&mut self, base: Ipv4Addr, len: u8, region: Region) {
         assert!(len <= 32, "prefix length out of range");
-        self.entries.push(PrefixEntry {
+        self.insert(PrefixEntry {
             base: u32::from(base),
             len,
             region,
         });
-        // Keep sorted by descending prefix length so the first match is the
-        // longest match.
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.len));
+    }
+
+    /// Insert `e` after every entry at least as long, in `entries` and
+    /// in each index bucket its range covers, so the first match in
+    /// either is the longest match (ties: earliest added).
+    fn insert(&mut self, e: PrefixEntry) {
+        let after_longer = |list: &[PrefixEntry]| list.partition_point(|x| x.len >= e.len);
+        let at = after_longer(&self.entries);
+        self.entries.insert(at, e);
+        let first = e.base & PrefixEntry::mask(e.len);
+        let last = first | !PrefixEntry::mask(e.len);
+        for octet in first >> 24..=last >> 24 {
+            let bucket = &mut self.by_octet[octet as usize];
+            bucket.insert(after_longer(bucket), e);
+        }
     }
 
     /// Number of prefixes installed.
@@ -76,11 +128,10 @@ impl GeoDb {
     /// (the paper folds "unknown origin" into the same residual class).
     pub fn lookup(&self, addr: Ipv4Addr) -> Region {
         let a = u32::from(addr);
-        self.entries
+        self.by_octet[usize::from(addr.octets()[0])]
             .iter()
             .find(|e| e.contains(a))
-            .map(|e| e.region)
-            .unwrap_or(Region::Other)
+            .map_or(Region::Other, |e| e.region)
     }
 
     /// The deterministic synthetic database used throughout the
@@ -177,7 +228,7 @@ impl AddressAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn longest_prefix_wins() {
@@ -238,6 +289,51 @@ mod tests {
         let s = serde_json::to_string(&db).unwrap();
         let back: GeoDb = serde_json::from_str(&s).unwrap();
         assert_eq!(db, back);
+    }
+
+    #[test]
+    fn deserialize_rejects_overlong_prefix() {
+        let s = r#"{"entries":[{"base":0,"len":32,"region":"Other"}]}"#;
+        assert_eq!(serde_json::from_str::<GeoDb>(s).unwrap().len(), 1);
+        assert!(serde_json::from_str::<GeoDb>(&s.replace("32", "33")).is_err());
+    }
+
+    /// The first-octet index answers exactly as a longest-first linear
+    /// scan over every entry does, for nested prefixes of every length
+    /// (including ones shorter than /8 that span many octets), before
+    /// and after a serde round trip.
+    #[test]
+    fn index_matches_linear_scan() {
+        let linear = |db: &GeoDb, addr: u32| {
+            db.entries
+                .iter()
+                .find(|e| e.contains(addr))
+                .map_or(Region::Other, |e| e.region)
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(79);
+        let mut db = GeoDb::new();
+        let roots: Vec<u32> = (0..24).map(|_| rng.gen()).collect();
+        for &root in &roots {
+            for len in [0u8, 3, 6, 8, 9, 12, 16, 20, 24, 28, 31, 32] {
+                if rng.gen_bool(0.5) {
+                    let region = Region::ALL[rng.gen_range(0..4usize)];
+                    db.add_prefix(Ipv4Addr::from(root), len, region);
+                }
+            }
+        }
+        let back: GeoDb = serde_json::from_str(&serde_json::to_string(&db).unwrap()).unwrap();
+        assert_eq!(db, back);
+        for _ in 0..50_000 {
+            // Share a random-length prefix with one of the roots, so
+            // every nesting depth is hit.
+            let root = roots[rng.gen_range(0..roots.len())];
+            let keep = rng.gen_range(0..=32u32);
+            let mask = u32::MAX.checked_shl(32 - keep).unwrap_or(0);
+            let addr = (root & mask) | (rng.gen::<u32>() & !mask);
+            let expect = linear(&db, addr);
+            assert_eq!(db.lookup(Ipv4Addr::from(addr)), expect, "{addr:#010x}");
+            assert_eq!(back.lookup(Ipv4Addr::from(addr)), expect);
+        }
     }
 
     #[test]

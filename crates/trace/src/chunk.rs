@@ -32,8 +32,13 @@
 //! Varints appear only in cold spots (PONG shared-file counts).
 //!
 //! Every section is length-prefixed, so a decoder can skip columns it
-//! does not need — [`decode_query_scan`] reads 4 of the 10 sections and
-//! powers the filter/popularity fast path.
+//! does not need. [`decode_chunk`] takes a [`Sections`] set and skips
+//! every section outside it without touching its bytes; a full decode is
+//! the set [`Sections::ALL`]. The analysis kernels each name the few
+//! sections they read (Table 1 reads AT/KIND/HOPS, for example), and
+//! [`decode_query_scan`] goes one step further for the filter/popularity
+//! fast path: it returns lazy views over the packed AT/SESSION/KIND/HOPS
+//! sections and decodes only the QUERY side table.
 
 use crate::record::{MessageRecord, RecordedPayload, SessionId};
 use crate::store::MsgKind;
@@ -113,36 +118,35 @@ fn read_u128_at(bytes: &[u8], pos: usize) -> u128 {
     }
 }
 
-/// Unpack `n` values of `width` bits, feeding each to `f`.
+/// Unpack `n` values of `width` bits onto `out`, each mapped through `f`.
 ///
 /// The `width <= 57` fast path (every real column: times are offsets
 /// from the chunk base, everything else is small) is a single unaligned
 /// load + shift + mask per value — no per-byte loop, no branches on the
-/// value contents.
-fn unpack_bits(bytes: &[u8], n: usize, width: u8, mut f: impl FnMut(u64)) {
+/// value contents — written through `extend` so the vector's capacity is
+/// checked once, not per value.
+fn unpack_into<T>(bytes: &[u8], n: usize, width: u8, out: &mut Vec<T>, f: impl Fn(u64) -> T) {
     if width == 0 {
-        for _ in 0..n {
-            f(0);
-        }
+        out.extend((0..n).map(|_| f(0)));
         return;
     }
     let w = width as usize;
     if width <= 57 {
         let mask = (1u64 << width) - 1;
-        for i in 0..n {
+        out.extend((0..n).map(|i| {
             let bit = i * w;
-            f((read_u64_at(bytes, bit >> 3) >> (bit & 7)) & mask);
-        }
+            f((read_u64_at(bytes, bit >> 3) >> (bit & 7)) & mask)
+        }));
     } else {
         let mask: u128 = if width == 64 {
             u128::from(u64::MAX)
         } else {
             (1u128 << width) - 1
         };
-        for i in 0..n {
+        out.extend((0..n).map(|i| {
             let bit = i * w;
-            f(((read_u128_at(bytes, bit >> 3) >> (bit & 7)) & mask) as u64);
-        }
+            f(((read_u128_at(bytes, bit >> 3) >> (bit & 7)) & mask) as u64)
+        }));
     }
 }
 
@@ -194,8 +198,7 @@ pub fn encode_time_column(vals_ms: &[u64], out: &mut Vec<u8>) {
 pub fn decode_time_column(bytes: &[u8], n: usize, out: &mut Vec<u64>) -> usize {
     let base = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
     let width = bytes[8];
-    out.reserve(n);
-    unpack_bits(&bytes[9..], n, width, |v| out.push(base + v));
+    unpack_into(&bytes[9..], n, width, out, |v| base + v);
     9 + packed_len(n, width)
 }
 
@@ -213,8 +216,7 @@ pub fn encode_id_column(vals: &[u32], out: &mut Vec<u8>) {
 pub fn decode_id_column(bytes: &[u8], n: usize, out: &mut Vec<u32>) -> usize {
     let base = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
     let width = bytes[4];
-    out.reserve(n);
-    unpack_bits(&bytes[5..], n, width, |v| out.push(base + v as u32));
+    unpack_into(&bytes[5..], n, width, out, |v| base + v as u32);
     5 + packed_len(n, width)
 }
 
@@ -227,10 +229,22 @@ fn encode_u8_column(vals: impl Iterator<Item = u8> + Clone, out: &mut Vec<u8>) {
 }
 
 /// Decode an [`encode_u8_column`] section; returns bytes consumed.
+///
+/// A u8 column packs at most 8 bits per value, so each block of 8
+/// values starts on a byte boundary and fits one u64 load: one load and
+/// eight shifts per block, appended as a unit.
 fn decode_u8_column(bytes: &[u8], n: usize, out: &mut Vec<u8>) -> usize {
     let width = bytes[0];
+    let packed = &bytes[1..];
+    let w = usize::from(width);
+    let mask = (1u64 << width) - 1;
     out.reserve(n);
-    unpack_bits(&bytes[1..], n, width, |v| out.push(v as u8));
+    for b in 0..n / 8 {
+        let word = read_u64_at(packed, b * w);
+        let block: [u8; 8] = std::array::from_fn(|j| ((word >> (j * w)) & mask) as u8);
+        out.extend_from_slice(&block);
+    }
+    unpack_into(&packed[(n / 8) * w..], n % 8, width, out, |v| v as u8);
     1 + packed_len(n, width)
 }
 
@@ -265,17 +279,85 @@ fn skip_section(bytes: &[u8], pos: &mut usize) {
     *pos += 4 + len;
 }
 
+/// The next section's bytes when `wanted`; otherwise skip it unread.
+fn next_section<'a>(bytes: &'a [u8], pos: &mut usize, wanted: bool) -> Option<&'a [u8]> {
+    if wanted {
+        Some(read_section(bytes, pos))
+    } else {
+        skip_section(bytes, pos);
+        None
+    }
+}
+
+/// A set of chunk sections for [`decode_chunk`] and
+/// [`MessageColumns::for_each_batch`] to decode, one bit per section in
+/// the order [`encode_chunk`] writes them. Combine sets with `|`.
+///
+/// [`MessageColumns::for_each_batch`]: crate::store::MessageColumns::for_each_batch
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sections(u16);
+
+impl Sections {
+    /// Arrival times (`at_ms`).
+    pub const AT: Sections = Sections(1 << 0);
+    /// Session ids (`session`).
+    pub const SESSION: Sections = Sections(1 << 1);
+    /// Message kinds (`kind`).
+    pub const KIND: Sections = Sections(1 << 2);
+    /// Hop counts (`hops`).
+    pub const HOPS: Sections = Sections(1 << 3);
+    /// TTLs (`ttl`).
+    pub const TTL: Sections = Sections(1 << 4);
+    /// GUIDs (`guid`).
+    pub const GUID: Sections = Sections(1 << 5);
+    /// Wire lengths (`wire`).
+    pub const WIRE: Sections = Sections(1 << 6);
+    /// PONG side table (`pong_addr`, `pong_files`).
+    pub const PONG: Sections = Sections(1 << 7);
+    /// QUERY side table (`query_id`, `query_sha1`).
+    pub const QUERY: Sections = Sections(1 << 8);
+    /// QUERYHIT side table (`hit_addr`, `hit_results`).
+    pub const HIT: Sections = Sections(1 << 9);
+    /// Every section: a full decode.
+    pub const ALL: Sections = Sections((1 << 10) - 1);
+
+    /// True when every section of `other` is in `self`.
+    pub fn contains(self, other: Sections) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// Whether a decode of this set fills the derived `arg` column: it
+    /// is rebuilt from KIND and only indexes the side tables, so it is
+    /// filled exactly when KIND and at least one side table are decoded.
+    pub(crate) fn fills_arg(self) -> bool {
+        let side = Sections::PONG.0 | Sections::QUERY.0 | Sections::HIT.0;
+        self.contains(Sections::KIND) && self.0 & side != 0
+    }
+}
+
+impl std::ops::BitOr for Sections {
+    type Output = Sections;
+
+    fn bitor(self, rhs: Sections) -> Sections {
+        Sections(self.0 | rhs.0)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Decoded batch
 // ---------------------------------------------------------------------
 
 /// One chunk's worth of decoded columns — the unit analysis kernels
-/// iterate over. All vectors of row-indexed columns have `rows()`
-/// entries; the payload side columns (`pong_*`, `query_*`, `hit_*`)
-/// hold one entry per row *of that kind*, in row order, indexed by the
+/// iterate over. Each row-indexed column that was decoded has `rows()`
+/// entries, and each column outside the decoded [`Sections`] is empty;
+/// the payload side columns (`pong_*`, `query_*`, `hit_*`) hold one
+/// entry per row *of that kind*, in row order, indexed by the
 /// recomputed `arg` column.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkBatch {
+    /// Row count, recorded by the decoder: it holds even when no
+    /// row-indexed column was decoded.
+    rows: usize,
     /// Session id per row.
     pub session: Vec<u32>,
     /// Arrival time per row, in milliseconds.
@@ -307,13 +389,19 @@ pub struct ChunkBatch {
 }
 
 impl ChunkBatch {
-    /// Number of decoded rows.
+    /// Number of rows in the batch, whichever sections were decoded.
     pub fn rows(&self) -> usize {
-        self.at_ms.len()
+        self.rows
+    }
+
+    /// Record the row count of a batch filled outside the decoder.
+    pub(crate) fn set_rows(&mut self, rows: usize) {
+        self.rows = rows;
     }
 
     /// Reset for reuse, keeping allocations.
     pub fn clear(&mut self) {
+        self.rows = 0;
         self.session.clear();
         self.at_ms.clear();
         self.hops.clear();
@@ -330,7 +418,8 @@ impl ChunkBatch {
         self.hit_results.clear();
     }
 
-    /// Reconstruct the record at batch-local row `i`.
+    /// Reconstruct the record at batch-local row `i` (needs a decode of
+    /// [`Sections::ALL`]).
     pub fn record(&self, i: usize) -> MessageRecord {
         let arg = self.arg[i] as usize;
         let payload = match MsgKind::from_u8(self.kind[i]) {
@@ -388,28 +477,25 @@ impl ChunkBatch {
 
 /// Rebuild the `arg` side-table index column from the kind column: the
 /// side tables are chunk-local and in row order per kind, so the index
-/// is just a per-kind running count.
+/// is a per-kind running count. Branch-free: one counter per kind byte,
+/// advanced by a per-kind step; PING and BYE rows read counters whose
+/// step is 0, so they always read 0.
 fn rebuild_arg(kind: &[u8], arg: &mut Vec<u32>) {
-    let (mut pong, mut query, mut hit) = (0u32, 0u32, 0u32);
-    arg.reserve(kind.len());
-    for &k in kind {
-        let a = match k {
-            k if k == MsgKind::Pong as u8 => {
-                pong += 1;
-                pong - 1
-            }
-            k if k == MsgKind::Query as u8 => {
-                query += 1;
-                query - 1
-            }
-            k if k == MsgKind::QueryHit as u8 => {
-                hit += 1;
-                hit - 1
-            }
-            _ => 0,
-        };
-        arg.push(a);
-    }
+    const STEP: [u32; 8] = {
+        let mut step = [0u32; 8];
+        step[MsgKind::Pong as usize] = 1;
+        step[MsgKind::Query as usize] = 1;
+        step[MsgKind::QueryHit as usize] = 1;
+        step
+    };
+    let mut next = [0u32; 8];
+    arg.extend(kind.iter().map(|&k| {
+        // Kinds pack to at most 3 bits; the mask proves the index in range.
+        let k = usize::from(k & 7);
+        let a = next[k];
+        next[k] += STEP[k];
+        a
+    }));
 }
 
 // ---------------------------------------------------------------------
@@ -547,49 +633,66 @@ fn decode_query_section(sec: &[u8], ids: &mut Vec<u32>, sha1: &mut Vec<bool>) {
     }
 }
 
-/// Decode every column of a chunk produced by [`encode_chunk`] into a
-/// reusable [`ChunkBatch`].
-pub fn decode_chunk(bytes: &[u8], out: &mut ChunkBatch) {
+/// Decode the `sections` of a chunk produced by [`encode_chunk`] into a
+/// reusable [`ChunkBatch`]. Sections outside the set are skipped by
+/// their length prefix without being read, and their columns stay
+/// empty; [`Sections::ALL`] decodes everything.
+pub fn decode_chunk(bytes: &[u8], sections: Sections, out: &mut ChunkBatch) {
     out.clear();
     let n = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+    out.rows = n;
     let mut pos = 4;
+    let mut next = |s: Sections| next_section(bytes, &mut pos, sections.contains(s));
 
-    decode_time_column(read_section(bytes, &mut pos), n, &mut out.at_ms);
-    decode_id_column(read_section(bytes, &mut pos), n, &mut out.session);
-    decode_u8_column(read_section(bytes, &mut pos), n, &mut out.kind);
-    decode_u8_column(read_section(bytes, &mut pos), n, &mut out.hops);
-    decode_u8_column(read_section(bytes, &mut pos), n, &mut out.ttl);
-    decode_guid_section(read_section(bytes, &mut pos), n, &mut out.guid);
-    decode_id_column(read_section(bytes, &mut pos), n, &mut out.wire);
-
-    let pong = read_section(bytes, &mut pos);
-    let n_pong = u32::from_le_bytes(pong[0..4].try_into().unwrap()) as usize;
-    let mut p = 4;
-    out.pong_addr.reserve(n_pong);
-    out.pong_files.reserve(n_pong);
-    for _ in 0..n_pong {
-        let octets: [u8; 4] = pong[p..p + 4].try_into().unwrap();
-        p += 4;
-        out.pong_addr.push(Ipv4Addr::from(octets));
-        out.pong_files.push(get_varint(pong, &mut p) as u32);
+    if let Some(sec) = next(Sections::AT) {
+        decode_time_column(sec, n, &mut out.at_ms);
+    }
+    if let Some(sec) = next(Sections::SESSION) {
+        decode_id_column(sec, n, &mut out.session);
+    }
+    if let Some(sec) = next(Sections::KIND) {
+        decode_u8_column(sec, n, &mut out.kind);
+    }
+    if let Some(sec) = next(Sections::HOPS) {
+        decode_u8_column(sec, n, &mut out.hops);
+    }
+    if let Some(sec) = next(Sections::TTL) {
+        decode_u8_column(sec, n, &mut out.ttl);
+    }
+    if let Some(sec) = next(Sections::GUID) {
+        decode_guid_section(sec, n, &mut out.guid);
+    }
+    if let Some(sec) = next(Sections::WIRE) {
+        decode_id_column(sec, n, &mut out.wire);
+    }
+    if let Some(pong) = next(Sections::PONG) {
+        let n_pong = u32::from_le_bytes(pong[0..4].try_into().unwrap()) as usize;
+        let mut p = 4;
+        out.pong_addr.reserve(n_pong);
+        out.pong_files.reserve(n_pong);
+        for _ in 0..n_pong {
+            let octets: [u8; 4] = pong[p..p + 4].try_into().unwrap();
+            p += 4;
+            out.pong_addr.push(Ipv4Addr::from(octets));
+            out.pong_files.push(get_varint(pong, &mut p) as u32);
+        }
+    }
+    if let Some(sec) = next(Sections::QUERY) {
+        decode_query_section(sec, &mut out.query_id, &mut out.query_sha1);
+    }
+    if let Some(hit) = next(Sections::HIT) {
+        let n_hit = u32::from_le_bytes(hit[0..4].try_into().unwrap()) as usize;
+        out.hit_addr.reserve(n_hit);
+        for octets in hit[4..4 + n_hit * 4].chunks_exact(4) {
+            out.hit_addr
+                .push(Ipv4Addr::from(<[u8; 4]>::try_from(octets).unwrap()));
+        }
+        decode_u8_column(&hit[4 + n_hit * 4..], n_hit, &mut out.hit_results);
     }
 
-    decode_query_section(
-        read_section(bytes, &mut pos),
-        &mut out.query_id,
-        &mut out.query_sha1,
-    );
-
-    let hit = read_section(bytes, &mut pos);
-    let n_hit = u32::from_le_bytes(hit[0..4].try_into().unwrap()) as usize;
-    out.hit_addr.reserve(n_hit);
-    for octets in hit[4..4 + n_hit * 4].chunks_exact(4) {
-        out.hit_addr
-            .push(Ipv4Addr::from(<[u8; 4]>::try_from(octets).unwrap()));
+    if sections.fills_arg() {
+        rebuild_arg(&out.kind, &mut out.arg);
     }
-    decode_u8_column(&hit[4 + n_hit * 4..], n_hit, &mut out.hit_results);
-
-    rebuild_arg(&out.kind, &mut out.arg);
 }
 
 /// Reusable decode buffers for the hop-1 QUERY scan: just the query
@@ -867,7 +970,7 @@ mod tests {
             pack_bits(vals.iter().copied(), width, &mut packed);
             assert_eq!(packed.len(), packed_len(vals.len(), width));
             let mut back = Vec::new();
-            unpack_bits(&packed, vals.len(), width, |v| back.push(v));
+            unpack_into(&packed, vals.len(), width, &mut back, |v| v);
             let expect: Vec<u64> = if width == 0 {
                 vec![0; vals.len()]
             } else {

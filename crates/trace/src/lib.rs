@@ -31,7 +31,7 @@ pub mod sink;
 pub mod stats;
 pub mod store;
 
-pub use chunk::ChunkBatch;
+pub use chunk::{ChunkBatch, Sections};
 pub use collector::{CollectorConfig, MeasurementPeer};
 pub use record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 pub use session::{QueryObs, SessionView, Sessions};

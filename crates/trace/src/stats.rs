@@ -1,5 +1,6 @@
 //! Overall trace characteristics — the Table 1 reproduction.
 
+use crate::chunk::Sections;
 use crate::store::{MsgKind, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -36,13 +37,14 @@ impl TraceStats {
         for c in &trace.connections {
             last_ms = last_ms.max(c.end.unwrap_or(c.start).as_millis());
         }
-        // Chunk-at-a-time columnar pass: each decoded batch is counted
-        // with branch-light per-column loops (a 5-bucket histogram over
-        // the kind column, a fused compare-and-sum for hop-1 queries, a
-        // max-reduce over the timestamps) instead of a per-row match —
-        // the loops autovectorize and each sealed chunk is decoded once.
+        // Chunk-at-a-time columnar pass over the AT/KIND/HOPS sections
+        // only: each decoded batch is counted with branch-light
+        // per-column loops (a 5-bucket histogram over the kind column, a
+        // fused compare-and-sum for hop-1 queries, a max-reduce over the
+        // timestamps) instead of a per-row match.
         let mut kind_counts = [0u64; 5];
-        trace.messages.for_each_batch(|b| {
+        let sections = Sections::AT | Sections::KIND | Sections::HOPS;
+        trace.messages.for_each_batch(sections, |b| {
             for &k in &b.kind {
                 kind_counts[k as usize] += 1;
             }

@@ -26,7 +26,7 @@
 //! from `&self` across threads, but meant for tests and spot checks, not
 //! hot loops.
 
-use crate::chunk::{self, ChunkBatch, SpillFile};
+use crate::chunk::{self, ChunkBatch, Sections, SpillFile};
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 use crate::stats::TraceStats;
 use gnutella::{Guid, QueryId};
@@ -274,24 +274,49 @@ impl FlatColumns {
         }
     }
 
-    /// Copy this run into a [`ChunkBatch`], so batch-wise consumers see
-    /// the tail through the same interface as sealed chunks.
-    fn fill_batch(&self, out: &mut ChunkBatch) {
+    /// Copy the `sections` columns of this run into a [`ChunkBatch`], so
+    /// batch-wise consumers see the tail through the same interface as
+    /// sealed chunks (see [`chunk::decode_chunk`] for what each set
+    /// fills).
+    fn fill_batch(&self, sections: Sections, out: &mut ChunkBatch) {
         out.clear();
-        out.session.extend_from_slice(&self.session);
-        out.at_ms.extend(self.at.iter().map(|t| t.as_millis()));
-        out.hops.extend_from_slice(&self.hops);
-        out.ttl.extend_from_slice(&self.ttl);
-        out.kind.extend(self.kind.iter().map(|&k| k as u8));
-        out.arg.extend_from_slice(&self.arg);
-        out.guid.extend_from_slice(&self.guid);
-        out.wire.extend_from_slice(&self.wire_len);
-        out.pong_addr.extend_from_slice(&self.pong_addr);
-        out.pong_files.extend_from_slice(&self.pong_files);
-        out.query_id.extend_from_slice(&self.query_id);
-        out.query_sha1.extend_from_slice(&self.query_sha1);
-        out.hit_addr.extend_from_slice(&self.hit_addr);
-        out.hit_results.extend_from_slice(&self.hit_results);
+        out.set_rows(self.len());
+        if sections.contains(Sections::AT) {
+            out.at_ms.extend(self.at.iter().map(|t| t.as_millis()));
+        }
+        if sections.contains(Sections::SESSION) {
+            out.session.extend_from_slice(&self.session);
+        }
+        if sections.contains(Sections::KIND) {
+            out.kind.extend(self.kind.iter().map(|&k| k as u8));
+        }
+        if sections.contains(Sections::HOPS) {
+            out.hops.extend_from_slice(&self.hops);
+        }
+        if sections.contains(Sections::TTL) {
+            out.ttl.extend_from_slice(&self.ttl);
+        }
+        if sections.contains(Sections::GUID) {
+            out.guid.extend_from_slice(&self.guid);
+        }
+        if sections.contains(Sections::WIRE) {
+            out.wire.extend_from_slice(&self.wire_len);
+        }
+        if sections.contains(Sections::PONG) {
+            out.pong_addr.extend_from_slice(&self.pong_addr);
+            out.pong_files.extend_from_slice(&self.pong_files);
+        }
+        if sections.contains(Sections::QUERY) {
+            out.query_id.extend_from_slice(&self.query_id);
+            out.query_sha1.extend_from_slice(&self.query_sha1);
+        }
+        if sections.contains(Sections::HIT) {
+            out.hit_addr.extend_from_slice(&self.hit_addr);
+            out.hit_results.extend_from_slice(&self.hit_results);
+        }
+        if sections.fills_arg() {
+            out.arg.extend_from_slice(&self.arg);
+        }
     }
 
     /// Bytes of column data currently filled (not capacity) — the "raw"
@@ -671,7 +696,7 @@ impl MessageColumns {
         if cache.chunk != idx {
             telemetry::global().incr(Counter::DecodeCacheMisses);
             let bytes = self.chunk_data(idx, &mut cache.file_buf);
-            chunk::decode_chunk(bytes, &mut cache.batch);
+            chunk::decode_chunk(bytes, Sections::ALL, &mut cache.batch);
             cache.chunk = idx;
         } else {
             telemetry::global().incr(Counter::DecodeCacheHits);
@@ -747,20 +772,22 @@ impl MessageColumns {
         std::iter::from_fn(move || cur.next_with_wire().map(|(rec, _)| rec))
     }
 
-    /// Visit every decoded column batch in row order: each sealed chunk
-    /// once, then the flat tail copied through the same [`ChunkBatch`]
-    /// shape. The chunk-at-a-time analysis kernels (trace stats, the
-    /// filter/popularity fast path) are written against this.
-    pub fn for_each_batch(&self, mut f: impl FnMut(&ChunkBatch)) {
+    /// Visit every batch in row order with the `sections` columns
+    /// decoded: each sealed chunk once (skipping the sections outside the
+    /// set unread), then the flat tail copied through the same
+    /// [`ChunkBatch`] shape. The chunk-at-a-time analysis kernels (Table
+    /// 1, the representativeness figures, the hit-rate extension) are
+    /// written against this; [`Sections::ALL`] gives every column.
+    pub fn for_each_batch(&self, sections: Sections, mut f: impl FnMut(&ChunkBatch)) {
         let mut batch = ChunkBatch::default();
         let mut file_buf = Vec::new();
         for idx in 0..self.sealed.len() {
             let bytes = self.chunk_data(idx, &mut file_buf);
-            chunk::decode_chunk(bytes, &mut batch);
+            chunk::decode_chunk(bytes, sections, &mut batch);
             f(&batch);
         }
         if !self.tail.is_empty() {
-            self.tail.fill_batch(&mut batch);
+            self.tail.fill_batch(sections, &mut batch);
             f(&batch);
         }
     }
@@ -885,7 +912,7 @@ impl MessageCursor<'_> {
     fn ensure_chunk(&mut self, idx: usize) {
         if self.chunk != idx {
             let bytes = self.cols.chunk_data(idx, &mut self.file_buf);
-            chunk::decode_chunk(bytes, &mut self.batch);
+            chunk::decode_chunk(bytes, Sections::ALL, &mut self.batch);
             self.chunk = idx;
         }
     }
@@ -1395,7 +1422,7 @@ mod tests {
 
             // Batch visitation covers every row in order.
             let mut n = 0usize;
-            cols.for_each_batch(|b| {
+            cols.for_each_batch(Sections::ALL, |b| {
                 for i in 0..b.rows() {
                     assert_eq!(b.record(i), records[n]);
                     n += 1;
@@ -1403,6 +1430,101 @@ mod tests {
             });
             assert_eq!(n, records.len());
         }
+    }
+
+    /// Every section on its own, and the sets the analysis kernels use,
+    /// decode exactly the matching columns of a full decode and leave the
+    /// rest empty — for sealed chunks (in memory and spilled) and for the
+    /// flat tail alike — and every batch reports its row count whether
+    /// or not AT was decoded.
+    #[test]
+    fn projected_batches_equal_full_decode_columns() {
+        let records = varied_records(1_000);
+        let spill = std::env::temp_dir().join("p2pq-store-test-projection");
+        let single = [
+            Sections::AT,
+            Sections::SESSION,
+            Sections::KIND,
+            Sections::HOPS,
+            Sections::TTL,
+            Sections::GUID,
+            Sections::WIRE,
+            Sections::PONG,
+            Sections::QUERY,
+            Sections::HIT,
+        ];
+        let kernel_sets = [
+            Sections::KIND | Sections::HOPS,
+            Sections::KIND | Sections::HOPS | Sections::PONG,
+            Sections::KIND | Sections::GUID | Sections::HIT,
+            Sections::KIND | Sections::HOPS | Sections::GUID | Sections::SESSION,
+            Sections::AT | Sections::KIND | Sections::HOPS | Sections::PONG | Sections::HIT,
+        ];
+        for spill_dir in [None, Some(spill)] {
+            let mut cols = MessageColumns::new();
+            cols.configure_chunks(96, spill_dir);
+            for (i, r) in records.iter().enumerate() {
+                cols.push_with_wire(*r, (i % 97) as u32);
+            }
+            assert_eq!(cols.sealed_chunks(), 10);
+            let mut full = Vec::new();
+            cols.for_each_batch(Sections::ALL, |b| full.push(b.clone()));
+            assert_eq!(full.len(), 11, "ten sealed chunks and the tail");
+            assert_eq!(full.iter().map(ChunkBatch::rows).sum::<usize>(), 1_000);
+
+            for sections in single.into_iter().chain(kernel_sets) {
+                let mut got = Vec::new();
+                cols.for_each_batch(sections, |b| got.push(b.clone()));
+                let expected: Vec<ChunkBatch> = full.iter().map(|b| project(b, sections)).collect();
+                assert_eq!(got, expected, "{sections:?}");
+                if !sections.contains(Sections::AT) {
+                    assert!(got.iter().all(|b| b.at_ms.is_empty() && b.rows() > 0));
+                }
+            }
+        }
+    }
+
+    /// `full` with the columns outside `sections` emptied.
+    fn project(full: &ChunkBatch, sections: Sections) -> ChunkBatch {
+        let mut b = full.clone();
+        let keep = |s: Sections| sections.contains(s);
+        if !keep(Sections::AT) {
+            b.at_ms.clear();
+        }
+        if !keep(Sections::SESSION) {
+            b.session.clear();
+        }
+        if !keep(Sections::KIND) {
+            b.kind.clear();
+        }
+        if !keep(Sections::HOPS) {
+            b.hops.clear();
+        }
+        if !keep(Sections::TTL) {
+            b.ttl.clear();
+        }
+        if !keep(Sections::GUID) {
+            b.guid.clear();
+        }
+        if !keep(Sections::WIRE) {
+            b.wire.clear();
+        }
+        if !keep(Sections::PONG) {
+            b.pong_addr.clear();
+            b.pong_files.clear();
+        }
+        if !keep(Sections::QUERY) {
+            b.query_id.clear();
+            b.query_sha1.clear();
+        }
+        if !keep(Sections::HIT) {
+            b.hit_addr.clear();
+            b.hit_results.clear();
+        }
+        if !sections.fills_arg() {
+            b.arg.clear();
+        }
+        b
     }
 
     #[test]
