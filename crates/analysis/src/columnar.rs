@@ -1,29 +1,19 @@
-//! Vectorized retained-mode analysis over the chunked trace store.
+//! The retained-mode analysis entry point the perf harnesses and the
+//! experiment context call.
 //!
-//! The batch pipeline used to materialize [`trace::Sessions`] (one
-//! `SessionView` per connection, each cloning the connection's
-//! `User-Agent` string) and then run [`crate::filter::apply_filters`]
-//! over the views, cloning the strings a second time into the
-//! [`FilteredSession`]s, before a third pass folded the filtered trace
-//! into [`DailyObservations`]. With the store now sealing compressed
-//! chunks, that shape would also decode every chunk twice.
-//!
-//! [`analyze_retained`] fuses the three passes: one selective columnar
-//! scan over the sealed chunks collects the per-session one-hop queries
-//! (only the timestamp, session, kind, hops and query sections are
-//! decoded — GUIDs, wire lengths and PONG/HIT payloads are skipped via
-//! their section length prefixes), then each completed connection is
-//! filtered through [`filter_completed_session`] — the same single
-//! source of truth the batch and streaming paths use — and folded
-//! straight into the popularity observations. Each chunk is decoded
-//! exactly once and each `User-Agent` is cloned exactly once.
+//! [`analyze_retained`] is the paper's pipeline over a materialized
+//! trace, nothing more: [`apply_filters`] (session reconstruction from
+//! the hop-1 queries, §3.2, then filter rules 1–5, §3.3) followed by
+//! [`DailyObservations::collect`] (§4.6). It owns no scan of its own —
+//! [`trace::Sessions::from_trace`] is the one place hop-1 queries are
+//! grouped out of the store.
 
-use crate::filter::{filter_completed_session, FilterReport, FilteredTrace};
+use crate::filter::{apply_filters, FilteredTrace};
 use crate::popularity::DailyObservations;
 use geoip::GeoDb;
-use trace::{QueryObs, Trace};
+use trace::Trace;
 
-/// The products of one fused retained-mode analysis pass.
+/// The products of one retained-mode analysis.
 #[derive(Debug, Clone)]
 pub struct RetainedAnalysis {
     /// Rules 1–5 applied: surviving sessions plus the Table 2 report.
@@ -32,84 +22,17 @@ pub struct RetainedAnalysis {
     pub obs: DailyObservations,
 }
 
-/// Filter a materialized trace and collect its popularity observations
-/// in one pass over the sealed chunks.
-///
-/// Equivalent — field for field — to
-/// `apply_filters(trace, db)` followed by
-/// `DailyObservations::collect(&ft)`: sessions are visited in
-/// connection order and queries arrive in trace (arrival) order, which
-/// is exactly the order [`trace::Sessions::from_trace`] produces.
+/// Filter a materialized trace and collect its popularity observations.
 pub fn analyze_retained(trace: &Trace, db: &GeoDb) -> RetainedAnalysis {
     telemetry::scope!("analysis/retained");
-    // Pass 1: per-session one-hop query lists from the selective scan.
-    let mut queries: Vec<Vec<QueryObs>> = vec![Vec::new(); trace.connections.len()];
-    {
-        telemetry::scope!("scan");
-        trace
-            .messages
-            .for_each_one_hop_query(|sid, at, text, sha1| {
-                if let Some(v) = queries.get_mut(sid.0 as usize) {
-                    v.push(QueryObs { at, text, sha1 });
-                }
-            });
-    }
-
-    // Pass 2 (over connections, not messages): filter each completed
-    // session and fold survivors into the observations as they appear.
-    telemetry::scope!("fold");
-    let mut report = FilterReport::default();
-    let mut sessions = Vec::new();
-    let mut obs = DailyObservations::default();
-    for (c, q) in trace.connections.iter().zip(&queries) {
-        let Some(end) = c.end else {
-            report.unfinished_sessions += 1;
-            continue;
-        };
-        if let Some(fs) = filter_completed_session(
-            db,
-            &mut report,
-            c.addr,
-            &c.user_agent,
-            c.ultrapeer,
-            c.start,
-            end,
-            c.closed_by_probe,
-            q,
-        ) {
-            obs.add_session(&fs);
-            sessions.push(fs);
-        }
-    }
-
-    RetainedAnalysis {
-        ft: FilteredTrace { sessions, report },
-        obs,
-    }
+    let ft = apply_filters(trace, db);
+    let obs = DailyObservations::collect(&ft);
+    RetainedAnalysis { ft, obs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::apply_filters;
-
-    /// The fused pass must be bit-identical to the three-pass pipeline
-    /// on a realistic population — same filtered sessions, same Table 2
-    /// report, same per-day observations.
-    #[test]
-    fn fused_pass_matches_three_pass_pipeline() {
-        let trace = behavior::run_population(&behavior::PopulationConfig::smoke());
-        let db = GeoDb::synthetic();
-
-        let fused = analyze_retained(&trace, &db);
-        let ft = apply_filters(&trace, &db);
-        let obs = DailyObservations::collect(&ft);
-
-        assert_eq!(fused.ft.report, ft.report);
-        assert_eq!(fused.ft.sessions, ft.sessions);
-        assert_eq!(fused.obs, obs);
-        assert!(fused.ft.report.final_sessions > 0, "smoke run too small");
-    }
 
     /// Unfinished sessions are counted, not filtered.
     #[test]

@@ -244,14 +244,9 @@ pub const RULE4_THRESHOLD_MS: u64 = 1_000;
 /// distort the Table A.1 tail fit.
 pub const PROBE_CLOSE_CORRECTION_MS: u64 = 30_000;
 
-/// Apply the five filter rules to a trace.
+/// Reconstruct a trace's sessions and apply the five filter rules.
 pub fn apply_filters(trace: &Trace, db: &GeoDb) -> FilteredTrace {
     let sessions = Sessions::from_trace(trace);
-    apply_filters_to_sessions(&sessions, db)
-}
-
-/// Apply the five filter rules to reconstructed sessions.
-pub fn apply_filters_to_sessions(sessions: &Sessions, db: &GeoDb) -> FilteredTrace {
     let mut report = FilterReport::default();
     let mut out = Vec::new();
 

@@ -21,10 +21,9 @@
 //!   that filters each session the moment it closes and folds it into
 //!   incremental aggregates, so campaigns run without materializing the
 //!   message trace;
-//! * [`columnar`] — the vectorized retained-mode path: one fused pass
-//!   over the chunked trace store that decodes each sealed chunk once,
-//!   producing the filtered trace and the popularity observations
-//!   together.
+//! * [`columnar`] — the retained-mode entry point the benchmarks call:
+//!   [`apply_filters`] followed by the popularity observations, over a
+//!   materialized trace.
 //!
 //! The pipeline's input is a [`trace::Trace`]; region resolution uses the
 //! same [`geoip::GeoDb`] the generator allocated addresses from, exactly

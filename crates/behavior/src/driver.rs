@@ -838,10 +838,10 @@ mod tests {
         for w in merged.connections.windows(2) {
             assert!(w[0].start <= w[1].start);
         }
-        for i in 1..merged.messages.len() {
-            assert!(merged.messages.time_at(i - 1) <= merged.messages.time_at(i));
-        }
+        let mut prev = SimTime::ZERO;
         for m in merged.messages.iter() {
+            assert!(prev <= m.at);
+            prev = m.at;
             assert!((m.session.0 as usize) < merged.connections.len());
         }
 

@@ -624,11 +624,6 @@ fn telemetry_to_json(
     ));
     entries.push(("scope_count".to_string(), JsonValue::U64(scope_count)));
     entries.push((
-        "decode_cache_hit_rate".to_string(),
-        snap.decode_cache_hit_rate()
-            .map_or(JsonValue::Null, JsonValue::F64),
-    ));
-    entries.push((
         "heap_spill_frac".to_string(),
         snap.heap_spill_frac()
             .map_or(JsonValue::Null, JsonValue::F64),

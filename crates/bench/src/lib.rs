@@ -151,8 +151,8 @@ impl ExperimentContext {
         let t0 = std::time::Instant::now();
         let trace = run_population(&cfg);
         let db = GeoDb::synthetic();
-        // Fused columnar pass: filter + popularity decode each sealed
-        // trace chunk once.
+        // Session reconstruction, rules 1–5, then the popularity
+        // observations (the same entry point the perf harnesses time).
         let r = analyze_retained(&trace, &db);
         let (ft, obs) = (r.ft, r.obs);
         telemetry::info!(

@@ -34,10 +34,6 @@ pub enum Counter {
     SinkRecords,
     /// Columnar tail seals into compressed chunks.
     ChunkSeals,
-    /// Random-access chunk reads served by the resident decode cache.
-    DecodeCacheHits,
-    /// Random-access chunk reads that had to decode a chunk.
-    DecodeCacheMisses,
     /// Compressed chunk bytes appended to the spill file.
     SpillBytesWritten,
     /// Spill I/O failures that degraded the store to in-memory chunks.
@@ -64,8 +60,6 @@ impl Counter {
         Counter::SinkBatches,
         Counter::SinkRecords,
         Counter::ChunkSeals,
-        Counter::DecodeCacheHits,
-        Counter::DecodeCacheMisses,
         Counter::SpillBytesWritten,
         Counter::SpillDegraded,
         Counter::WheelCascades,
@@ -84,8 +78,6 @@ impl Counter {
             Counter::SinkBatches => "sink_batches",
             Counter::SinkRecords => "sink_records",
             Counter::ChunkSeals => "chunk_seals",
-            Counter::DecodeCacheHits => "decode_cache_hits",
-            Counter::DecodeCacheMisses => "decode_cache_misses",
             Counter::SpillBytesWritten => "spill_bytes_written",
             Counter::SpillDegraded => "spill_degraded",
             Counter::WheelCascades => "wheel_cascades",
@@ -96,7 +88,7 @@ impl Counter {
 }
 
 /// Number of [`Counter`] ids.
-pub const NUM_COUNTERS: usize = 15;
+pub const NUM_COUNTERS: usize = 13;
 
 /// High-water marks (max-merged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,8 +359,6 @@ impl Snapshot {
             Counter::SinkRecords, // one add per batch, alongside SinkBatches
             Counter::ChunkSeals,
             Counter::SpillBytesWritten, // one add per seal when spilling
-            Counter::DecodeCacheHits,
-            Counter::DecodeCacheMisses,
             Counter::SpillDegraded,
             Counter::SinkFastBatches, // one bump per columnar batch append
         ];
@@ -420,17 +410,6 @@ impl Snapshot {
             None
         } else {
             Some(self.counter(Counter::WheelCascades) as f64 / popped as f64)
-        }
-    }
-
-    /// Decode-cache hit rate, if any random-access reads happened.
-    pub fn decode_cache_hit_rate(&self) -> Option<f64> {
-        let h = self.counter(Counter::DecodeCacheHits);
-        let m = self.counter(Counter::DecodeCacheMisses);
-        if h + m == 0 {
-            None
-        } else {
-            Some(h as f64 / (h + m) as f64)
         }
     }
 
@@ -569,10 +548,10 @@ mod tests {
     #[test]
     fn json_shape() {
         let r = Registry::new();
-        r.incr(Counter::DecodeCacheHits);
+        r.incr(Counter::ChunkSeals);
         let j = r.snapshot().to_json();
         let counters = j.get("counters").expect("counters key");
-        assert_eq!(counters.get("decode_cache_hits"), Some(&JsonValue::U64(1)));
+        assert_eq!(counters.get("chunk_seals"), Some(&JsonValue::U64(1)));
         assert!(j.get("gauges").is_some());
         assert!(j.get("hists").is_some());
     }

@@ -10,7 +10,7 @@
 //!   (sum for counters, max for gauges — associative and commutative,
 //!   property-tested). A process-global registry ([`global`]) serves
 //!   components that are not naturally per-shard (the trace store's
-//!   chunk seals, decode cache, and spill accounting).
+//!   chunk seals and spill accounting).
 //! * [`profile`] — a hierarchical stage-attribution profiler built from
 //!   cheap RAII scopes (`scope!("campaign/run")`). Each scope records
 //!   inclusive wall time against a `/`-separated path (nesting extends

@@ -34,11 +34,10 @@
 //! Every section is length-prefixed, so a decoder can skip columns it
 //! does not need. [`decode_chunk`] takes a [`Sections`] set and skips
 //! every section outside it without touching its bytes; a full decode is
-//! the set [`Sections::ALL`]. The analysis kernels each name the few
-//! sections they read (Table 1 reads AT/KIND/HOPS, for example), and
-//! [`decode_query_scan`] goes one step further for the filter/popularity
-//! fast path: it returns lazy views over the packed AT/SESSION/KIND/HOPS
-//! sections and decodes only the QUERY side table.
+//! the set [`Sections::ALL`]. It is the only chunk decoder: the analysis
+//! kernels and session reconstruction each name the few sections they
+//! read (Table 1 reads AT/KIND/HOPS, the hop-1 query grouping
+//! AT/SESSION/KIND/HOPS/QUERY, for example).
 
 use crate::record::{MessageRecord, RecordedPayload, SessionId};
 use crate::store::MsgKind;
@@ -273,7 +272,7 @@ fn read_section<'a>(bytes: &'a [u8], pos: &mut usize) -> &'a [u8] {
 }
 
 /// Advance `*pos` past the section starting there without touching its
-/// contents — how the selective decoders skip columns.
+/// contents — how [`decode_chunk`] skips sections outside its set.
 fn skip_section(bytes: &[u8], pos: &mut usize) {
     let len = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().unwrap()) as usize;
     *pos += 4 + len;
@@ -451,27 +450,6 @@ impl ChunkBatch {
     /// Wire length at batch-local row `i`.
     pub fn wire_len(&self, i: usize) -> u32 {
         self.wire[i]
-    }
-
-    /// Capacity-counted resident bytes of the scratch vectors.
-    pub fn mem_bytes(&self) -> u64 {
-        fn cap<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        cap(&self.session)
-            + cap(&self.at_ms)
-            + cap(&self.hops)
-            + cap(&self.ttl)
-            + cap(&self.kind)
-            + cap(&self.arg)
-            + cap(&self.guid)
-            + cap(&self.wire)
-            + cap(&self.pong_addr)
-            + cap(&self.pong_files)
-            + cap(&self.query_id)
-            + cap(&self.query_sha1)
-            + cap(&self.hit_addr)
-            + cap(&self.hit_results)
     }
 }
 
@@ -692,172 +670,6 @@ pub fn decode_chunk(bytes: &[u8], sections: Sections, out: &mut ChunkBatch) {
 
     if sections.fills_arg() {
         rebuild_arg(&out.kind, &mut out.arg);
-    }
-}
-
-/// Reusable decode buffers for the hop-1 QUERY scan: just the query
-/// side table (one entry per QUERY row). The dense per-row columns are
-/// *not* materialized — [`decode_query_scan`] hands back lazy packed
-/// views instead, so the scan never allocates per-row vectors.
-#[derive(Debug, Default)]
-pub(crate) struct QueryScan {
-    pub query_id: Vec<u32>,
-    pub query_sha1: Vec<bool>,
-}
-
-impl QueryScan {
-    fn clear(&mut self) {
-        self.query_id.clear();
-        self.query_sha1.clear();
-    }
-}
-
-/// Random access into a packed section: value `idx` of `width` bits.
-#[inline]
-fn read_packed_at(packed: &[u8], idx: usize, width: u8) -> u64 {
-    if width == 0 {
-        return 0;
-    }
-    let bit = idx * width as usize;
-    if width <= 57 {
-        (read_u64_at(packed, bit >> 3) >> (bit & 7)) & ((1u64 << width) - 1)
-    } else {
-        let mask: u128 = if width == 64 {
-            u128::from(u64::MAX)
-        } else {
-            (1u128 << width) - 1
-        };
-        ((read_u128_at(packed, bit >> 3) >> (bit & 7)) & mask) as u64
-    }
-}
-
-/// Lazy view of a FOR-packed u64 column (8-byte base + width + bits).
-pub(crate) struct LazyTimeColumn<'a> {
-    base: u64,
-    width: u8,
-    packed: &'a [u8],
-}
-
-impl LazyTimeColumn<'_> {
-    #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        self.base + read_packed_at(self.packed, i, self.width)
-    }
-}
-
-/// Lazy view of a FOR-packed u32 column (4-byte base + width + bits).
-pub(crate) struct LazyIdColumn<'a> {
-    base: u32,
-    width: u8,
-    packed: &'a [u8],
-}
-
-impl LazyIdColumn<'_> {
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        self.base + read_packed_at(self.packed, i, self.width) as u32
-    }
-}
-
-/// Lazy view of a bit-packed small-range u8 column (a 1-byte width
-/// header then bits): random access via [`LazyByteColumn::get`], or a
-/// streaming sweep via [`LazyByteColumn::for_each`] that unpacks
-/// straight out of the packed bytes without materializing a vector.
-pub(crate) struct LazyByteColumn<'a> {
-    width: u8,
-    packed: &'a [u8],
-}
-
-impl LazyByteColumn<'_> {
-    #[inline]
-    pub fn get(&self, i: usize) -> u8 {
-        read_packed_at(self.packed, i, self.width) as u8
-    }
-
-    /// Sweep all `n` values in blocks of 8: a u8 column packs at most
-    /// 8 bits per value, so 8 consecutive values always start on a byte
-    /// boundary and fit one u64 load — one unaligned load per block
-    /// instead of one per value.
-    pub fn for_each(&self, n: usize, mut f: impl FnMut(u8)) {
-        let w = self.width as usize;
-        if w == 0 {
-            for _ in 0..n {
-                f(0);
-            }
-            return;
-        }
-        let mask = if w == 8 { 0xFF } else { (1u64 << w) - 1 };
-        let blocks = n / 8;
-        for b in 0..blocks {
-            let mut word = read_u64_at(self.packed, b * w);
-            for _ in 0..8 {
-                f((word & mask) as u8);
-                word >>= w;
-            }
-        }
-        for i in blocks * 8..n {
-            f(self.get(i));
-        }
-    }
-}
-
-/// Lazy views over one chunk's packed scan columns, returned by
-/// [`decode_query_scan`]. Nothing here is unpacked up front: `kind` is
-/// swept once per row, `hops` is consulted only at QUERY rows, and
-/// `at`/`session` only at the hop-1 QUERY rows that survive both tests.
-pub(crate) struct QueryScanView<'a> {
-    pub rows: usize,
-    pub at: LazyTimeColumn<'a>,
-    pub session: LazyIdColumn<'a>,
-    pub kind: LazyByteColumn<'a>,
-    pub hops: LazyByteColumn<'a>,
-}
-
-/// Selective decode powering [`for_each_one_hop_query`]: decodes only
-/// the QUERY side table into `out`, skips TTL, GUID, WIRE, PONG and HIT
-/// entirely, and returns lazy views over the still-packed AT, SESSION,
-/// KIND and HOPS sections — the scan touches ~25% of the chunk bytes,
-/// sweeps one packed load per row for the kind test, and unpacks
-/// hops/timestamps/sessions only where a QUERY actually sits.
-///
-/// [`for_each_one_hop_query`]: crate::store::MessageColumns::for_each_one_hop_query
-pub(crate) fn decode_query_scan<'a>(bytes: &'a [u8], out: &mut QueryScan) -> QueryScanView<'a> {
-    out.clear();
-    let n = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let mut pos = 4;
-    let at_sec = read_section(bytes, &mut pos);
-    let session_sec = read_section(bytes, &mut pos);
-    let kind_sec = read_section(bytes, &mut pos);
-    let hops_sec = read_section(bytes, &mut pos);
-    skip_section(bytes, &mut pos); // TTL
-    skip_section(bytes, &mut pos); // GUID
-    skip_section(bytes, &mut pos); // WIRE
-    skip_section(bytes, &mut pos); // PONG
-    decode_query_section(
-        read_section(bytes, &mut pos),
-        &mut out.query_id,
-        &mut out.query_sha1,
-    );
-    QueryScanView {
-        rows: n,
-        at: LazyTimeColumn {
-            base: u64::from_le_bytes(at_sec[0..8].try_into().unwrap()),
-            width: at_sec[8],
-            packed: &at_sec[9..],
-        },
-        session: LazyIdColumn {
-            base: u32::from_le_bytes(session_sec[0..4].try_into().unwrap()),
-            width: session_sec[4],
-            packed: &session_sec[5..],
-        },
-        kind: LazyByteColumn {
-            width: kind_sec[0],
-            packed: &kind_sec[1..],
-        },
-        hops: LazyByteColumn {
-            width: hops_sec[0],
-            packed: &hops_sec[1..],
-        },
     }
 }
 

@@ -6,8 +6,9 @@
 //! session and extracts the hop-1 queries — the queries generated by the
 //! directly connected peer itself (§3.2).
 
+use crate::chunk::Sections;
 use crate::record::SessionId;
-use crate::store::Trace;
+use crate::store::{MsgKind, Trace};
 use gnutella::QueryId;
 use serde::{Deserialize, Serialize};
 use simnet::{SimDuration, SimTime};
@@ -71,7 +72,9 @@ pub struct Sessions {
 }
 
 impl Sessions {
-    /// Group a trace into per-session views.
+    /// Group a trace into per-session views, each holding its hop-1
+    /// queries in arrival order. Messages whose session has no connection
+    /// record are ignored.
     pub fn from_trace(trace: &Trace) -> Sessions {
         let mut views: Vec<SessionView> = trace
             .connections
@@ -87,13 +90,28 @@ impl Sessions {
                 queries: Vec::new(),
             })
             .collect();
-        trace
-            .messages
-            .for_each_one_hop_query(|sid, at, text, sha1| {
-                if let Some(v) = views.get_mut(sid.0 as usize) {
-                    v.queries.push(QueryObs { at, text, sha1 });
+        // One columnar pass over the AT/SESSION/KIND/HOPS/QUERY sections
+        // (TTL, GUID, wire lengths and the PONG/HIT side tables are skipped
+        // unread); the query cell of a row is found through `arg`, as in
+        // the report kernels.
+        let sections =
+            Sections::AT | Sections::SESSION | Sections::KIND | Sections::HOPS | Sections::QUERY;
+        let query = MsgKind::Query as u8;
+        trace.messages.for_each_batch(sections, |b| {
+            for (i, (&k, &h)) in b.kind.iter().zip(&b.hops).enumerate() {
+                if k != query || h != 1 {
+                    continue;
                 }
-            });
+                if let Some(v) = views.get_mut(b.session[i] as usize) {
+                    let q = b.arg[i] as usize;
+                    v.queries.push(QueryObs {
+                        at: SimTime::from_millis(b.at_ms[i]),
+                        text: QueryId::from_raw(b.query_id[q]),
+                        sha1: b.query_sha1[q],
+                    });
+                }
+            }
+        });
         Sessions { views }
     }
 

@@ -16,21 +16,18 @@
 //! [`MessageRecord`], iteration yields [`MessageRecord`]s by value
 //! (everything in a record is `Copy`), and serde round-trips through the
 //! record form so the JSONL interchange format is byte-identical to the
-//! row-oriented store. Analysis passes that want the columnar layout
-//! iterate decoded batches via [`MessageColumns::for_each_batch`] or the
-//! selective [`MessageColumns::for_each_one_hop_query`] scan; sequential
-//! consumers (export, replay, merge) use [`MessageColumns::cursor`],
-//! which decodes each chunk exactly once into its own scratch buffer.
-//! Random access ([`MessageColumns::get`] and friends) stays available
-//! through a shared single-chunk decode cache behind a mutex — correct
-//! from `&self` across threads, but meant for tests and spot checks, not
-//! hot loops.
+//! row-oriented store. There are exactly two ways to read sealed rows,
+//! both through [`chunk::decode_chunk`]: analysis passes that want the
+//! columnar layout iterate decoded batches of just the sections they
+//! read via [`MessageColumns::for_each_batch`] (session reconstruction
+//! and the report kernels), and sequential consumers (export, replay,
+//! merge) use [`MessageColumns::cursor`], which decodes each chunk
+//! exactly once into its own scratch buffer. There is no random access.
 
 use crate::chunk::{self, ChunkBatch, Sections, SpillFile};
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
 use crate::stats::TraceStats;
 use gnutella::{Guid, QueryId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::io::{self, BufRead, Write};
@@ -372,28 +369,6 @@ enum SealedChunk {
     Spilled { offset: u64, len: u32 },
 }
 
-/// Shared single-chunk decode cache for random access from `&self`.
-struct DecodeCache {
-    /// Index of the decoded chunk, `usize::MAX` when empty.
-    chunk: usize,
-    batch: ChunkBatch,
-    file_buf: Vec<u8>,
-}
-
-impl DecodeCache {
-    fn empty() -> DecodeCache {
-        DecodeCache {
-            chunk: usize::MAX,
-            batch: ChunkBatch::default(),
-            file_buf: Vec::new(),
-        }
-    }
-
-    fn mem_bytes(&self) -> u64 {
-        self.batch.mem_bytes() + self.file_buf.capacity() as u64
-    }
-}
-
 /// Columnar message store: sealed compressed chunks plus a flat tail.
 ///
 /// Rows are addressed by insertion index; the `wire_len` column is
@@ -420,7 +395,6 @@ pub struct MessageColumns {
     /// Reusable seal-time scratch (timestamp millis + encode output).
     encode_ms_scratch: Vec<u64>,
     encode_buf: Vec<u8>,
-    cache: Mutex<DecodeCache>,
 }
 
 impl Default for MessageColumns {
@@ -438,7 +412,6 @@ impl Default for MessageColumns {
             spilled_bytes: 0,
             encode_ms_scratch: Vec::new(),
             encode_buf: Vec::new(),
-            cache: Mutex::new(DecodeCache::empty()),
         }
     }
 }
@@ -464,7 +437,6 @@ impl Clone for MessageColumns {
             spilled_bytes: self.spilled_bytes,
             encode_ms_scratch: Vec::new(),
             encode_buf: Vec::new(),
-            cache: Mutex::new(DecodeCache::empty()),
         }
     }
 }
@@ -688,73 +660,8 @@ impl MessageColumns {
         }
     }
 
-    /// Run `f` against the decoded batch for chunk `idx`, via the shared
-    /// cache (random-access path).
-    fn with_cached_batch<R>(&self, idx: usize, f: impl FnOnce(&ChunkBatch) -> R) -> R {
-        let mut guard = self.cache.lock();
-        let cache = &mut *guard;
-        if cache.chunk != idx {
-            telemetry::global().incr(Counter::DecodeCacheMisses);
-            let bytes = self.chunk_data(idx, &mut cache.file_buf);
-            chunk::decode_chunk(bytes, Sections::ALL, &mut cache.batch);
-            cache.chunk = idx;
-        } else {
-            telemetry::global().incr(Counter::DecodeCacheHits);
-        }
-        f(&cache.batch)
-    }
-
-    /// Reconstruct the record at row `i` (panics when out of bounds).
-    ///
-    /// Sealed rows decode through a shared one-chunk cache; sequential
-    /// consumers should prefer [`MessageColumns::cursor`] or
-    /// [`MessageColumns::iter`], which skip the cache lock.
-    pub fn get(&self, i: usize) -> MessageRecord {
-        if i >= self.rows_sealed {
-            return self.tail.get(i - self.rows_sealed);
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| b.record(i % self.chunk_rows))
-    }
-
-    /// Wire length recorded for row `i` (0 when the producer did not
-    /// account wire bytes).
-    pub fn wire_len(&self, i: usize) -> u32 {
-        if i >= self.rows_sealed {
-            return self.tail.wire_len[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| b.wire_len(i % self.chunk_rows))
-    }
-
-    /// Arrival-time column value at row `i`.
-    pub fn time_at(&self, i: usize) -> SimTime {
-        if i >= self.rows_sealed {
-            return self.tail.at[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| {
-            SimTime::from_millis(b.at_ms[i % self.chunk_rows])
-        })
-    }
-
-    /// Kind column value at row `i`.
-    pub fn kind_at(&self, i: usize) -> MsgKind {
-        if i >= self.rows_sealed {
-            return self.tail.kind[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| {
-            MsgKind::from_u8(b.kind[i % self.chunk_rows])
-        })
-    }
-
-    /// Hops column value at row `i`.
-    pub fn hops_at(&self, i: usize) -> u8 {
-        if i >= self.rows_sealed {
-            return self.tail.hops[i - self.rows_sealed];
-        }
-        self.with_cached_batch(i / self.chunk_rows, |b| b.hops[i % self.chunk_rows])
-    }
-
     /// Sequential reader with its own decode scratch: decodes each
-    /// sealed chunk exactly once as the position crosses it, no locks.
+    /// sealed chunk exactly once as the position crosses it.
     /// The canonical shard-merge and export path.
     pub fn cursor(&self) -> MessageCursor<'_> {
         MessageCursor {
@@ -775,9 +682,10 @@ impl MessageColumns {
     /// Visit every batch in row order with the `sections` columns
     /// decoded: each sealed chunk once (skipping the sections outside the
     /// set unread), then the flat tail copied through the same
-    /// [`ChunkBatch`] shape. The chunk-at-a-time analysis kernels (Table
-    /// 1, the representativeness figures, the hit-rate extension) are
-    /// written against this; [`Sections::ALL`] gives every column.
+    /// [`ChunkBatch`] shape. Session reconstruction and the
+    /// chunk-at-a-time analysis kernels (Table 1, the representativeness
+    /// figures, the hit-rate extension) are written against this;
+    /// [`Sections::ALL`] gives every column.
     pub fn for_each_batch(&self, sections: Sections, mut f: impl FnMut(&ChunkBatch)) {
         let mut batch = ChunkBatch::default();
         let mut file_buf = Vec::new();
@@ -792,53 +700,9 @@ impl MessageColumns {
         }
     }
 
-    /// Visit every hop-1 QUERY row without materializing records — the
-    /// session-reconstruction and streaming fast path. Sealed chunks use
-    /// a selective decode that reads only the AT/SESSION/KIND/HOPS/QUERY
-    /// sections (TTL, GUID, wire and the other side tables are skipped
-    /// without being touched).
-    pub fn for_each_one_hop_query(&self, mut f: impl FnMut(SessionId, SimTime, QueryId, bool)) {
-        let mut scan = chunk::QueryScan::default();
-        let mut file_buf = Vec::new();
-        for idx in 0..self.sealed.len() {
-            let bytes = self.chunk_data(idx, &mut file_buf);
-            let view = chunk::decode_query_scan(bytes, &mut scan);
-            let mut q = 0usize;
-            let mut i = 0usize;
-            view.kind.for_each(view.rows, |k| {
-                if k == MsgKind::Query as u8 {
-                    if view.hops.get(i) == 1 {
-                        // Hops/timestamp/session unpacked here only —
-                        // at the QUERY rows, not for the whole chunk.
-                        f(
-                            SessionId(u64::from(view.session.get(i))),
-                            SimTime::from_millis(view.at.get(i)),
-                            QueryId::from_raw(scan.query_id[q]),
-                            scan.query_sha1[q],
-                        );
-                    }
-                    q += 1;
-                }
-                i += 1;
-            });
-        }
-        let t = &self.tail;
-        for i in 0..t.len() {
-            if t.kind[i] == MsgKind::Query && t.hops[i] == 1 {
-                let a = t.arg[i] as usize;
-                f(
-                    SessionId(u64::from(t.session[i])),
-                    t.at[i],
-                    QueryId::from_raw(t.query_id[a]),
-                    t.query_sha1[a],
-                );
-            }
-        }
-    }
-
     /// Resident bytes: the flat tail at capacity, sealed chunks that are
     /// held in memory (spilled extents cost nothing here), the chunk
-    /// directory, and the decode/encode scratch buffers.
+    /// directory, and the seal-time scratch buffers.
     pub fn mem_bytes(&self) -> u64 {
         let mem_chunks: u64 = self
             .sealed
@@ -850,7 +714,7 @@ impl MessageColumns {
             .sum();
         let directory = (self.sealed.capacity() * std::mem::size_of::<SealedChunk>()) as u64;
         let scratch = (self.encode_ms_scratch.capacity() * 8 + self.encode_buf.capacity()) as u64;
-        self.tail.mem_bytes() + mem_chunks + directory + scratch + self.cache.lock().mem_bytes()
+        self.tail.mem_bytes() + mem_chunks + directory + scratch
     }
 
     /// Number of sealed (compressed) chunks.
@@ -885,11 +749,10 @@ impl MessageColumns {
         }
     }
 
-    /// Drop scratch allocations (decode cache, seal buffers) and shrink
-    /// the tail. Call before snapshotting or unwrapping a finished
-    /// trace so teardown copies don't carry dead capacity.
+    /// Drop the seal scratch buffers and shrink the tail. Call before
+    /// snapshotting or unwrapping a finished trace so teardown copies
+    /// don't carry dead capacity.
     pub fn compact(&mut self) {
-        *self.cache.lock() = DecodeCache::empty();
         self.encode_ms_scratch = Vec::new();
         self.encode_buf = Vec::new();
         self.tail.shrink_to_fit();
@@ -897,7 +760,7 @@ impl MessageColumns {
 }
 
 /// Sequential decoding reader over a [`MessageColumns`], with private
-/// scratch buffers (no shared-cache locking). Created by
+/// scratch buffers. Created by
 /// [`MessageColumns::cursor`].
 pub struct MessageCursor<'a> {
     cols: &'a MessageColumns,
@@ -1384,10 +1247,6 @@ mod tests {
         assert_eq!(cols.len(), records.len());
         let back: Vec<MessageRecord> = cols.iter().collect();
         assert_eq!(back, records);
-        // Random access agrees with iteration.
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(cols.get(i), *r);
-        }
     }
 
     #[test]
@@ -1407,24 +1266,22 @@ mod tests {
                 assert!(cols.compression_ratio().unwrap() > 1.0);
             }
 
-            // Iteration (cursor path).
+            // Iteration (cursor path), wire lengths included.
             let back: Vec<MessageRecord> = cols.iter().collect();
             assert_eq!(back, records, "chunk_rows {chunk_rows}");
-
-            // Random access (cached path), in an order that thrashes the
-            // cache across chunk boundaries.
-            for i in (0..records.len()).rev() {
-                assert_eq!(cols.get(i), records[i]);
-                assert_eq!(cols.wire_len(i), (i % 97) as u32);
-                assert_eq!(cols.time_at(i), records[i].at);
-                assert_eq!(cols.hops_at(i), records[i].hops);
+            let mut cur = cols.cursor();
+            for (i, r) in records.iter().enumerate() {
+                assert_eq!(cur.peek_time(), Some(r.at));
+                assert_eq!(cur.next_with_wire(), Some((*r, (i % 97) as u32)));
             }
+            assert_eq!(cur.next_with_wire(), None);
 
-            // Batch visitation covers every row in order.
+            // Batch visitation covers every row and wire length in order.
             let mut n = 0usize;
             cols.for_each_batch(Sections::ALL, |b| {
                 for i in 0..b.rows() {
                     assert_eq!(b.record(i), records[n]);
+                    assert_eq!(b.wire_len(i), (n % 97) as u32);
                     n += 1;
                 }
             });
@@ -1569,47 +1426,69 @@ mod tests {
         let mut b = MessageColumns::new();
         b.push(rec);
         assert_eq!(a, b);
-        assert_eq!(a.wire_len(0), 23);
-        assert_eq!(b.wire_len(0), 0);
+        assert_eq!(a.cursor().next_with_wire(), Some((rec, 23)));
+        assert_eq!(b.cursor().next_with_wire(), Some((rec, 0)));
+
+        // The provenance survives sealing, and still stays out of equality.
+        let mut sealed = MessageColumns::new();
+        sealed.configure_chunks(1, None);
+        sealed.push_with_wire(rec, 23);
+        assert_eq!(sealed.sealed_chunks(), 1);
+        assert_eq!(sealed, b);
+        assert_eq!(sealed.cursor().next_with_wire(), Some((rec, 23)));
     }
 
+    /// Session reconstruction's projected batch pass groups exactly the
+    /// hop-1 QUERY rows of record iteration by session, across 7-row
+    /// sealed chunks plus a tail, in memory and spilled.
     #[test]
-    fn one_hop_query_visitor_matches_filtered_iteration() {
-        let t = sample_trace();
-        let mut seen = Vec::new();
-        t.messages
-            .for_each_one_hop_query(|sid, at, text, sha1| seen.push((sid, at, text, sha1)));
-        let expected: Vec<_> = t
-            .messages
-            .iter()
-            .filter(|m| m.is_one_hop_query())
-            .map(|m| match m.payload {
-                RecordedPayload::Query { text, sha1 } => (m.session, m.at, text, sha1),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seen, expected);
-    }
+    fn sessions_from_trace_match_record_iteration() {
+        use crate::session::{QueryObs, Sessions};
+        let records = varied_records(1_000);
+        let spill = std::env::temp_dir().join("p2pq-store-test-sessions");
+        for spill_dir in [None, Some(spill)] {
+            let mut t = Trace::new();
+            t.messages.configure_chunks(7, spill_dir);
+            // Messages carry sessions 0..7; session 6 has no connection
+            // record, so its queries are dropped.
+            for i in 0..6u64 {
+                t.connections.push(ConnectionRecord {
+                    id: SessionId(i),
+                    addr: Ipv4Addr::new(24, 0, 0, i as u8 + 1),
+                    user_agent: format!("Client/{i}"),
+                    ultrapeer: false,
+                    start: SimTime::from_secs(i),
+                    end: None,
+                    closed_by_probe: false,
+                });
+            }
+            for r in &records {
+                t.messages.push(*r);
+            }
+            assert_eq!(t.messages.sealed_chunks(), 142);
 
-    #[test]
-    fn one_hop_query_visitor_crosses_chunk_boundaries() {
-        let records = varied_records(300);
-        let mut cols = MessageColumns::new();
-        cols.configure_chunks(7, None);
-        for r in &records {
-            cols.push(*r);
+            let mut expected: Vec<Vec<QueryObs>> = vec![Vec::new(); t.connections.len()];
+            for m in t.messages.iter().filter(|m| m.is_one_hop_query()) {
+                let RecordedPayload::Query { text, sha1 } = m.payload else {
+                    unreachable!()
+                };
+                if let Some(q) = expected.get_mut(m.session.0 as usize) {
+                    q.push(QueryObs {
+                        at: m.at,
+                        text,
+                        sha1,
+                    });
+                }
+            }
+            assert!(expected.iter().filter(|q| !q.is_empty()).count() >= 3);
+
+            let s = Sessions::from_trace(&t);
+            let got: Vec<Vec<QueryObs>> = s.iter().map(|v| v.queries.clone()).collect();
+            assert_eq!(got, expected);
+            let ids: Vec<SessionId> = s.iter().map(|v| v.id).collect();
+            let conn_ids: Vec<SessionId> = t.connections.iter().map(|c| c.id).collect();
+            assert_eq!(ids, conn_ids);
         }
-        let mut seen = Vec::new();
-        cols.for_each_one_hop_query(|sid, at, text, sha1| seen.push((sid, at, text, sha1)));
-        let expected: Vec<_> = records
-            .iter()
-            .filter(|m| m.is_one_hop_query())
-            .map(|m| match m.payload {
-                RecordedPayload::Query { text, sha1 } => (m.session, m.at, text, sha1),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seen, expected);
     }
 
     #[test]
@@ -1628,8 +1507,8 @@ mod tests {
         for r in &records {
             cols.push(*r);
         }
-        // Populate the decode cache, then compact it away.
-        let _ = cols.get(0);
+        // Sealing left scratch behind: the encoder's timestamp buffer and
+        // a tail allocated for a whole chunk but holding 200 % 32 rows.
         let before = cols.mem_bytes();
         cols.compact();
         assert!(cols.mem_bytes() < before);

@@ -1,6 +1,6 @@
 //! Property tests for trace records and (de)serialization.
 
-use gnutella::Guid;
+use gnutella::{Guid, QueryId};
 use proptest::prelude::*;
 use simnet::SimTime;
 use std::net::Ipv4Addr;
@@ -172,15 +172,32 @@ proptest! {
         // Sequential decode matches the records pushed.
         let decoded: Vec<MessageRecord> = chunked.iter().collect();
         prop_assert_eq!(&decoded, &records);
-        // Random access in reverse order (cache-hostile) agrees too.
-        for i in (0..records.len()).rev() {
-            prop_assert_eq!(chunked.get(i), records[i].clone());
-            prop_assert_eq!(chunked.wire_len(i), wire_lens[i]);
+        // Wire lengths survive sealing (and spilling) row for row.
+        let mut cur = chunked.cursor();
+        for (rec, &wire) in records.iter().zip(&wire_lens) {
+            prop_assert_eq!(cur.next_with_wire(), Some((*rec, wire)));
         }
-        // The selective query scan sees exactly the one-hop queries.
+        prop_assert_eq!(cur.next_with_wire(), None);
+        // A batch pass over session reconstruction's section set sees
+        // exactly the one-hop queries.
+        let sections = trace::Sections::AT
+            | trace::Sections::SESSION
+            | trace::Sections::KIND
+            | trace::Sections::HOPS
+            | trace::Sections::QUERY;
         let mut seen = Vec::new();
-        chunked.for_each_one_hop_query(|sid, at, text, sha1| {
-            seen.push((sid, at, text, sha1));
+        chunked.for_each_batch(sections, |b| {
+            for i in 0..b.rows() {
+                if b.kind[i] == trace::MsgKind::Query as u8 && b.hops[i] == 1 {
+                    let q = b.arg[i] as usize;
+                    seen.push((
+                        SessionId(u64::from(b.session[i])),
+                        SimTime::from_millis(b.at_ms[i]),
+                        QueryId::from_raw(b.query_id[q]),
+                        b.query_sha1[q],
+                    ));
+                }
+            }
         });
         let expected: Vec<_> = records
             .iter()
