@@ -1438,12 +1438,48 @@ mod tests {
         assert_eq!(sealed.cursor().next_with_wire(), Some((rec, 23)));
     }
 
-    /// Session reconstruction's projected batch pass groups exactly the
-    /// hop-1 QUERY rows of record iteration by session, across 7-row
-    /// sealed chunks plus a tail, in memory and spilled.
-    #[test]
-    fn sessions_from_trace_match_record_iteration() {
+    /// Asserts that session reconstruction's projected batch pass groups
+    /// exactly the hop-1 QUERY rows of record iteration by session, and
+    /// keeps one session per connection record, in connection order.
+    fn assert_sessions_match_record_iteration(t: &Trace) {
         use crate::session::{QueryObs, Sessions};
+        let mut expected: Vec<Vec<QueryObs>> = vec![Vec::new(); t.connections.len()];
+        for m in t.messages.iter().filter(|m| m.is_one_hop_query()) {
+            let RecordedPayload::Query { text, sha1 } = m.payload else {
+                unreachable!()
+            };
+            if let Some(q) = expected.get_mut(m.session.0 as usize) {
+                q.push(QueryObs {
+                    at: m.at,
+                    text,
+                    sha1,
+                });
+            }
+        }
+        assert!(expected.iter().filter(|q| !q.is_empty()).count() >= 3);
+
+        let s = Sessions::from_trace(t);
+        let got: Vec<Vec<QueryObs>> = s.iter().map(|v| v.queries.clone()).collect();
+        assert_eq!(got, expected);
+        let ids: Vec<SessionId> = s.iter().map(|v| v.id).collect();
+        let conn_ids: Vec<SessionId> = t.connections.iter().map(|c| c.id).collect();
+        assert_eq!(ids, conn_ids);
+    }
+
+    /// The hop-1 query visitor of session reconstruction sees what a
+    /// filtered record iteration sees, on a trace held in the flat tail.
+    #[test]
+    fn one_hop_query_visitor_matches_filtered_iteration() {
+        let t = sample_trace();
+        assert_eq!(t.messages.sealed_chunks(), 0);
+        assert_sessions_match_record_iteration(&t);
+    }
+
+    /// The same across 7-row sealed chunks plus a tail, in memory and
+    /// spilled; messages of a session without a connection record are
+    /// dropped.
+    #[test]
+    fn one_hop_query_visitor_crosses_chunk_boundaries() {
         let records = varied_records(1_000);
         let spill = std::env::temp_dir().join("p2pq-store-test-sessions");
         for spill_dir in [None, Some(spill)] {
@@ -1466,28 +1502,8 @@ mod tests {
                 t.messages.push(*r);
             }
             assert_eq!(t.messages.sealed_chunks(), 142);
-
-            let mut expected: Vec<Vec<QueryObs>> = vec![Vec::new(); t.connections.len()];
-            for m in t.messages.iter().filter(|m| m.is_one_hop_query()) {
-                let RecordedPayload::Query { text, sha1 } = m.payload else {
-                    unreachable!()
-                };
-                if let Some(q) = expected.get_mut(m.session.0 as usize) {
-                    q.push(QueryObs {
-                        at: m.at,
-                        text,
-                        sha1,
-                    });
-                }
-            }
-            assert!(expected.iter().filter(|q| !q.is_empty()).count() >= 3);
-
-            let s = Sessions::from_trace(&t);
-            let got: Vec<Vec<QueryObs>> = s.iter().map(|v| v.queries.clone()).collect();
-            assert_eq!(got, expected);
-            let ids: Vec<SessionId> = s.iter().map(|v| v.id).collect();
-            let conn_ids: Vec<SessionId> = t.connections.iter().map(|c| c.id).collect();
-            assert_eq!(ids, conn_ids);
+            assert!(records.iter().any(|m| m.is_one_hop_query() && m.session.0 == 6));
+            assert_sessions_match_record_iteration(&t);
         }
     }
 
