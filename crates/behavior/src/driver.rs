@@ -645,74 +645,13 @@ pub fn run_population_sharded_with_stats(
         .collect();
     let stats = run_population_sharded_into(cfg, n_shards, sinks, false);
     let traces: Vec<Trace> = shard_traces.into_iter().map(unwrap_trace).collect();
-    (merge_shard_traces(traces), stats)
-}
-
-/// Merge per-shard traces into canonical `(time, shard)` order with
-/// densely renumbered session ids.
-fn merge_shard_traces(shards: Vec<Trace>) -> Trace {
     // Runs after the campaign scope closed, so the slash name roots this
     // directly under `campaign` in the stage tree.
-    telemetry::scope!("campaign/merge");
-    let n_conns: usize = shards.iter().map(|t| t.connections.len()).sum();
-    let n_msgs: usize = shards.iter().map(|t| t.messages.len()).sum();
-    let wire_bytes: u64 = shards.iter().map(|t| t.wire_bytes).sum();
-
-    let mut conns: Vec<(usize, trace::ConnectionRecord)> = Vec::with_capacity(n_conns);
-    let mut msg_lists: Vec<trace::MessageColumns> = Vec::with_capacity(shards.len());
-    for (shard, t) in shards.into_iter().enumerate() {
-        conns.extend(t.connections.into_iter().map(|c| (shard, c)));
-        msg_lists.push(t.messages);
-    }
-    // Each shard's connections are already start-ordered, so a stable sort
-    // by (start, shard) yields the canonical merged order.
-    conns.sort_by_key(|(shard, c)| (c.start, *shard));
-
-    // Per-shard session ids are dense from 0, so the remap is a plain
-    // vector lookup rather than a hash map.
-    let mut remap: Vec<Vec<u64>> = msg_lists.iter().map(|_| Vec::new()).collect();
-    let mut connections = Vec::with_capacity(n_conns);
-    for (new_id, (shard, mut c)) in conns.into_iter().enumerate() {
-        let old = c.id.0 as usize;
-        if remap[shard].len() <= old {
-            remap[shard].resize(old + 1, u64::MAX);
-        }
-        remap[shard][old] = new_id as u64;
-        c.id = trace::SessionId(new_id as u64);
-        connections.push(c);
-    }
-
-    // K-way merge of the per-shard columns (each already arrival-ordered)
-    // into `(arrival, shard)` order: strict `<` with shards scanned in
-    // index order makes the earliest shard win ties, matching the old
-    // stable sort by `(at, shard)` bit for bit. Sequential cursors decode
-    // each sealed source chunk exactly once into cursor-local scratch;
-    // the merged store re-seals (and re-spills) as it fills, so peak
-    // memory is the shard chunks plus one open chunk per side.
-    let mut messages = trace::MessageColumns::with_capacity(n_msgs);
-    let mut cursors: Vec<trace::MessageCursor<'_>> =
-        msg_lists.iter().map(|list| list.cursor()).collect();
-    loop {
-        let mut best: Option<(simnet::SimTime, usize)> = None;
-        for (shard, cur) in cursors.iter_mut().enumerate() {
-            if let Some(t) = cur.peek_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, shard));
-                }
-            }
-        }
-        let Some((_, shard)) = best else { break };
-        let (mut m, wire) = cursors[shard].next_with_wire().expect("peeked row exists");
-        m.session = trace::SessionId(remap[shard][m.session.0 as usize]);
-        messages.push_with_wire(m, wire);
-    }
-    drop(cursors);
-
-    Trace {
-        connections,
-        messages,
-        wire_bytes,
-    }
+    let merged = {
+        telemetry::scope!("campaign/merge");
+        Trace::merge_shards(traces)
+    };
+    (merged, stats)
 }
 
 #[cfg(test)]

@@ -45,11 +45,16 @@
 //!
 //! * `P2PQ_PERF_SCALES` — comma-separated subset of
 //!   `smoke,default,cap200,full,mega` (default: `smoke,default`).
-//! * `P2PQ_PERF_SHARDS` — comma-separated shard counts (default: `1,2,4`).
+//! * `P2PQ_PERF_SHARDS` — comma-separated positive shard counts
+//!   (default: `1,2,4`).
 //! * `P2PQ_PERF_FIDELITY` — comma-separated subset of `full,hybrid`
 //!   (default: `full,hybrid`; list `full` first so hybrid runs can report
 //!   `campaign_speedup_vs_full`).
-//! * `P2PQ_PERF_REPS` — repetitions per configuration (default: 3).
+//! * `P2PQ_PERF_REPS` — repetitions per configuration, a positive
+//!   integer (default: 3).
+//!
+//! `P2PQ_PERF_SHARDS` and `P2PQ_PERF_REPS` are parsed before any run;
+//! any other value exits 2.
 //!
 //! Logical shards are a determinism construct; OS threads are clamped to
 //! the core count by default (`behavior::shard_worker_threads`), so
@@ -69,6 +74,7 @@ use geoip::{GeoDb, Region};
 use serde::{Deserialize, Serialize};
 use serde_json::JsonValue;
 use std::collections::HashMap;
+use std::ffi::OsStr;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{stage_tree, Snapshot, StageNode};
@@ -316,6 +322,42 @@ fn fingerprint_aggregates(
     h.u64(wire_bytes);
     h.u64(filtered_sessions);
     h.0
+}
+
+/// Repetitions per configuration from a `P2PQ_PERF_REPS` value: 3 when
+/// unset, and an error for anything but a positive integer.
+fn reps_from_setting(value: Option<&OsStr>) -> Result<usize, String> {
+    let Some(v) = value else { return Ok(3) };
+    v.to_str()
+        .and_then(positive_int)
+        .ok_or_else(|| format!("invalid P2PQ_PERF_REPS {v:?}; expected a positive integer, e.g. 3"))
+}
+
+/// Shard counts from a `P2PQ_PERF_SHARDS` value: `1,2,4` when unset,
+/// and an error unless every comma-separated entry is a positive integer.
+fn shards_from_setting(value: Option<&OsStr>) -> Result<Vec<usize>, String> {
+    let Some(v) = value else {
+        return Ok(vec![1, 2, 4]);
+    };
+    v.to_str()
+        .and_then(|s| s.split(',').map(|n| positive_int(n.trim())).collect())
+        .ok_or_else(|| {
+            format!(
+                "invalid P2PQ_PERF_SHARDS {v:?}; expected comma-separated positive integers, \
+                 e.g. 1,2,4"
+            )
+        })
+}
+
+fn positive_int(s: &str) -> Option<usize> {
+    s.parse().ok().filter(|&n| n > 0)
+}
+
+fn exit_on_err<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 fn env_list(var: &str, default: &str) -> Vec<String> {
@@ -911,6 +953,12 @@ fn telemetry_self_check() -> (JsonValue, bool) {
 }
 
 fn main() {
+    let shard_counts = exit_on_err(shards_from_setting(
+        std::env::var_os("P2PQ_PERF_SHARDS").as_deref(),
+    ));
+    let reps = exit_on_err(reps_from_setting(
+        std::env::var_os("P2PQ_PERF_REPS").as_deref(),
+    ));
     let mut out_path = "BENCH_POPULATION.json".to_string();
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -923,14 +971,6 @@ fn main() {
     }
     let scales = env_list("P2PQ_PERF_SCALES", "smoke,default");
     let fidelities = env_list("P2PQ_PERF_FIDELITY", "full,hybrid");
-    let shard_counts: Vec<usize> = env_list("P2PQ_PERF_SHARDS", "1,2,4")
-        .iter()
-        .map(|s| s.parse().expect("P2PQ_PERF_SHARDS must be integers"))
-        .collect();
-    let reps: usize = std::env::var("P2PQ_PERF_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
 
     let mut runs = Vec::new();
@@ -1095,6 +1135,34 @@ fn main() {
                 std::process::exit(1);
             }
             telemetry::info!("[perf] throughput and memory within tolerance of {path}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn perf_knobs_are_strict() {
+        assert_eq!(reps_from_setting(None), Ok(3));
+        assert_eq!(reps_from_setting(Some(OsStr::new("1"))), Ok(1));
+        assert_eq!(reps_from_setting(Some(OsStr::new("5"))), Ok(5));
+        for bad in ["0", "", "three", "-1", "2.5"] {
+            let err = reps_from_setting(Some(OsStr::new(bad))).unwrap_err();
+            assert!(err.contains("P2PQ_PERF_REPS"), "{err:?}");
+        }
+
+        assert_eq!(shards_from_setting(None), Ok(vec![1, 2, 4]));
+        assert_eq!(shards_from_setting(Some(OsStr::new("2"))), Ok(vec![2]));
+        assert_eq!(shards_from_setting(Some(OsStr::new("1,2"))), Ok(vec![1, 2]));
+        assert_eq!(
+            shards_from_setting(Some(OsStr::new(" 1 , 4"))),
+            Ok(vec![1, 4])
+        );
+        for bad in ["0", "", "1,0", "1,,2", "1,2,", "two", "-1", "1;2"] {
+            let err = shards_from_setting(Some(OsStr::new(bad))).unwrap_err();
+            assert!(err.contains("P2PQ_PERF_SHARDS"), "{err:?}");
         }
     }
 }

@@ -20,9 +20,12 @@
 //! both through [`chunk::decode_chunk`]: analysis passes that want the
 //! columnar layout iterate decoded batches of just the sections they
 //! read via [`MessageColumns::for_each_batch`] (session reconstruction
-//! and the report kernels), and sequential consumers (export, replay,
-//! merge) use [`MessageColumns::cursor`], which decodes each chunk
-//! exactly once into its own scratch buffer. There is no random access.
+//! and the report kernels), and sequential consumers (export, replay)
+//! use [`MessageColumns::cursor`], which decodes each chunk exactly once
+//! into its own scratch buffer. There is no random access. The shard
+//! merge ([`Trace::merge_shards`]) consumes its sources instead of
+//! borrowing them: it frees each source chunk as it decodes it, so the
+//! process holds one copy of the trace while it merges.
 
 use crate::chunk::{self, ChunkBatch, Sections, SpillFile};
 use crate::record::{ConnectionRecord, MessageRecord, RecordedPayload, SessionId};
@@ -32,6 +35,7 @@ use serde::{Deserialize, Serialize};
 use simnet::SimTime;
 use std::io::{self, BufRead, Write};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 use telemetry::{Counter, Gauge};
@@ -316,6 +320,53 @@ impl FlatColumns {
         }
     }
 
+    /// Append rows `rows` of a [`Sections::ALL`] batch, mapping each
+    /// session id through `remap` (old id → new id). The row columns
+    /// are copied in bulk; side-table rows are pushed one at a time in
+    /// row order with `arg` re-based onto this tail's tables, so the
+    /// columns and their capacities equal those that pushing the same
+    /// records through [`FlatColumns::push_with_wire`] would leave.
+    fn extend_from_batch(&mut self, b: &ChunkBatch, rows: Range<usize>, remap: &[u64]) {
+        for i in rows.clone() {
+            let src = b.arg[i] as usize;
+            let kind = MsgKind::from_u8(b.kind[i]);
+            let arg = match kind {
+                MsgKind::Ping | MsgKind::Bye => 0,
+                MsgKind::Pong => {
+                    self.pong_addr.push(b.pong_addr[src]);
+                    self.pong_files.push(b.pong_files[src]);
+                    (self.pong_addr.len() - 1) as u32
+                }
+                MsgKind::Query => {
+                    self.query_id.push(b.query_id[src]);
+                    self.query_sha1.push(b.query_sha1[src]);
+                    (self.query_id.len() - 1) as u32
+                }
+                MsgKind::QueryHit => {
+                    self.hit_addr.push(b.hit_addr[src]);
+                    self.hit_results.push(b.hit_results[src]);
+                    (self.hit_addr.len() - 1) as u32
+                }
+            };
+            self.kind.push(kind);
+            self.arg.push(arg);
+        }
+        self.session.extend(
+            b.session[rows.clone()]
+                .iter()
+                .map(|&s| u32::try_from(remap[s as usize]).expect("session id exceeds u32 range")),
+        );
+        self.guid.extend_from_slice(&b.guid[rows.clone()]);
+        self.at.extend(
+            b.at_ms[rows.clone()]
+                .iter()
+                .map(|&ms| SimTime::from_millis(ms)),
+        );
+        self.hops.extend_from_slice(&b.hops[rows.clone()]);
+        self.ttl.extend_from_slice(&b.ttl[rows.clone()]);
+        self.wire_len.extend_from_slice(&b.wire[rows]);
+    }
+
     /// Bytes of column data currently filled (not capacity) — the "raw"
     /// side of the chunk compression ratio.
     fn filled_bytes(&self) -> u64 {
@@ -560,6 +611,23 @@ impl MessageColumns {
         }
     }
 
+    /// Append rows `rows` of a [`Sections::ALL`] batch with session ids
+    /// mapped through `remap` (see [`FlatColumns::extend_from_batch`]).
+    /// The run must fit in the open tail ([`MessageColumns::tail_room`]);
+    /// the tail seals when it fills, exactly as on the per-record path.
+    fn push_run(&mut self, b: &ChunkBatch, rows: Range<usize>, remap: &[u64]) {
+        debug_assert!(rows.len() <= self.tail_room());
+        self.tail.extend_from_batch(b, rows, remap);
+        if self.tail.len() == self.chunk_rows {
+            self.seal_tail();
+        }
+    }
+
+    /// Rows the open tail takes before it seals.
+    fn tail_room(&self) -> usize {
+        self.chunk_rows - self.tail.len()
+    }
+
     /// Encode the full tail into a sealed chunk and reset it.
     fn seal_tail(&mut self) {
         telemetry::scope!("seal");
@@ -662,7 +730,7 @@ impl MessageColumns {
 
     /// Sequential reader with its own decode scratch: decodes each
     /// sealed chunk exactly once as the position crosses it.
-    /// The canonical shard-merge and export path.
+    /// The canonical export path.
     pub fn cursor(&self) -> MessageCursor<'_> {
         MessageCursor {
             cols: self,
@@ -780,21 +848,6 @@ impl MessageCursor<'_> {
         }
     }
 
-    /// Arrival time of the next row, without advancing.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.next >= self.cols.len() {
-            return None;
-        }
-        if self.next >= self.cols.rows_sealed {
-            return Some(self.cols.tail.at[self.next - self.cols.rows_sealed]);
-        }
-        let idx = self.next / self.cols.chunk_rows;
-        self.ensure_chunk(idx);
-        Some(SimTime::from_millis(
-            self.batch.at_ms[self.next % self.cols.chunk_rows],
-        ))
-    }
-
     /// The next row and its wire length, advancing the cursor.
     pub fn next_with_wire(&mut self) -> Option<(MessageRecord, u32)> {
         if self.next >= self.cols.len() {
@@ -811,6 +864,91 @@ impl MessageCursor<'_> {
         };
         self.next += 1;
         Some(out)
+    }
+}
+
+/// Consuming reader over one merge source: it owns the source, takes
+/// each resident sealed chunk out of the directory, decodes it once and
+/// frees its bytes before any row is copied (spilled chunks are read
+/// back from the spill file), then copies the tail last and drops the
+/// source, with its spill file, once everything has been read. Only the
+/// decoded batch of the current chunk is held besides what is left of
+/// the source.
+struct SourceReader {
+    /// `None` once every row has been read into a batch.
+    source: Option<MessageColumns>,
+    next_chunk: usize,
+    batch: ChunkBatch,
+    /// Next unread row of `batch`.
+    pos: usize,
+    file_buf: Vec<u8>,
+}
+
+impl SourceReader {
+    fn new(source: MessageColumns) -> Self {
+        let mut reader = SourceReader {
+            source: Some(source),
+            next_chunk: 0,
+            batch: ChunkBatch::default(),
+            pos: 0,
+            file_buf: Vec::new(),
+        };
+        reader.refill();
+        reader
+    }
+
+    /// Decode the next sealed chunk, or else the tail, into `batch`.
+    fn refill(&mut self) {
+        self.pos = 0;
+        let Some(src) = self.source.as_mut() else {
+            self.batch = ChunkBatch::default();
+            return;
+        };
+        let idx = self.next_chunk;
+        match src.sealed.get_mut(idx) {
+            Some(SealedChunk::Mem(bytes)) => {
+                let bytes = std::mem::take(bytes);
+                chunk::decode_chunk(&bytes, Sections::ALL, &mut self.batch);
+                self.next_chunk += 1;
+            }
+            Some(SealedChunk::Spilled { .. }) => {
+                let bytes = src.chunk_data(idx, &mut self.file_buf);
+                chunk::decode_chunk(bytes, Sections::ALL, &mut self.batch);
+                self.next_chunk += 1;
+            }
+            None => {
+                src.tail.fill_batch(Sections::ALL, &mut self.batch);
+                self.source = None;
+                self.file_buf = Vec::new();
+            }
+        }
+    }
+
+    /// Arrival time (ms) of the next unread row; `None` when exhausted.
+    fn head(&self) -> Option<u64> {
+        self.batch.at_ms.get(self.pos).copied()
+    }
+
+    /// End of the run that starts at the head: the rows of the current
+    /// batch that sort before `bound`, the smallest `(at_ms, shard)` head
+    /// of the other sources, capped at `room` rows.
+    fn run_end(&self, shard: usize, bound: Option<(u64, usize)>, room: usize) -> usize {
+        let cap = self.batch.rows().min(self.pos + room);
+        let Some(bound) = bound else { return cap };
+        let run = self.batch.at_ms[self.pos..cap]
+            .iter()
+            .take_while(|&&t| (t, shard) < bound)
+            .count();
+        self.pos + run
+    }
+
+    /// Mark the rows before `end` read, decoding the next batch when the
+    /// current one is used up.
+    fn advance_to(&mut self, end: usize) {
+        self.pos = end;
+        if self.pos == self.batch.rows() {
+            self.refill();
+        }
     }
 }
 
@@ -963,6 +1101,82 @@ impl Trace {
     pub fn compact(&mut self) {
         self.messages.compact();
         self.connections.shrink_to_fit();
+    }
+
+    /// Merge per-shard traces into one, consuming them: connections in
+    /// `(start, shard)` order with densely renumbered [`SessionId`]s,
+    /// messages in `(arrival, shard)` order, so on equal arrival times
+    /// the earliest shard wins and each shard keeps its own order.
+    ///
+    /// The merge holds one copy of the trace. Each source is read by a
+    /// reader that owns it and frees every resident chunk as it decodes
+    /// it, so the sources shrink while the merged store grows. Rows move
+    /// in runs: the longest stretch of one source that sorts before
+    /// every other source's head, capped by the room left in the merged
+    /// tail, is copied column by column. The merged store equals one
+    /// filled by pushing the records one by one, capacities included,
+    /// and takes its chunk size and spill directory from the first
+    /// source.
+    pub fn merge_shards(shards: Vec<Trace>) -> Trace {
+        let n_conns: usize = shards.iter().map(|t| t.connections.len()).sum();
+        let n_msgs: usize = shards.iter().map(|t| t.messages.len()).sum();
+        let wire_bytes: u64 = shards.iter().map(|t| t.wire_bytes).sum();
+        let mut messages = MessageColumns::with_capacity(n_msgs);
+        if let Some(first) = shards.first() {
+            messages.configure_chunks(first.messages.chunk_rows, first.messages.spill_dir.clone());
+        }
+
+        let mut conns: Vec<(usize, ConnectionRecord)> = Vec::with_capacity(n_conns);
+        let mut readers: Vec<SourceReader> = Vec::with_capacity(shards.len());
+        for (shard, t) in shards.into_iter().enumerate() {
+            conns.extend(t.connections.into_iter().map(|c| (shard, c)));
+            readers.push(SourceReader::new(t.messages));
+        }
+        // Each shard's connections are already start-ordered, so a stable
+        // sort by (start, shard) yields the canonical merged order.
+        conns.sort_by_key(|(shard, c)| (c.start, *shard));
+
+        // Per-shard session ids are dense from 0, so the remap is a plain
+        // vector lookup rather than a hash map.
+        let mut remap: Vec<Vec<u64>> = vec![Vec::new(); readers.len()];
+        let mut connections = Vec::with_capacity(n_conns);
+        for (new_id, (shard, mut c)) in conns.into_iter().enumerate() {
+            let old = c.id.0 as usize;
+            if remap[shard].len() <= old {
+                remap[shard].resize(old + 1, u64::MAX);
+            }
+            remap[shard][old] = new_id as u64;
+            c.id = SessionId(new_id as u64);
+            connections.push(c);
+        }
+
+        loop {
+            // The two smallest heads in (at_ms, shard) order: the first
+            // source's run lasts while its rows sort before the second.
+            let mut first: Option<(u64, usize)> = None;
+            let mut second: Option<(u64, usize)> = None;
+            for (shard, reader) in readers.iter().enumerate() {
+                let Some(at) = reader.head() else { continue };
+                let key = (at, shard);
+                if first.is_none_or(|f| key < f) {
+                    second = first;
+                    first = Some(key);
+                } else if second.is_none_or(|s| key < s) {
+                    second = Some(key);
+                }
+            }
+            let Some((_, shard)) = first else { break };
+            let reader = &mut readers[shard];
+            let end = reader.run_end(shard, second, messages.tail_room());
+            messages.push_run(&reader.batch, reader.pos..end, &remap[shard]);
+            reader.advance_to(end);
+        }
+
+        Trace {
+            connections,
+            messages,
+            wire_bytes,
+        }
     }
 
     /// Serialize as JSON lines: connection records first, then messages.
@@ -1271,7 +1485,6 @@ mod tests {
             assert_eq!(back, records, "chunk_rows {chunk_rows}");
             let mut cur = cols.cursor();
             for (i, r) in records.iter().enumerate() {
-                assert_eq!(cur.peek_time(), Some(r.at));
                 assert_eq!(cur.next_with_wire(), Some((*r, (i % 97) as u32)));
             }
             assert_eq!(cur.next_with_wire(), None);
@@ -1502,9 +1715,199 @@ mod tests {
                 t.messages.push(*r);
             }
             assert_eq!(t.messages.sealed_chunks(), 142);
-            assert!(records.iter().any(|m| m.is_one_hop_query() && m.session.0 == 6));
+            assert!(records
+                .iter()
+                .any(|m| m.is_one_hop_query() && m.session.0 == 6));
             assert_sessions_match_record_iteration(&t);
         }
+    }
+
+    /// Record-by-record reference for [`Trace::merge_shards`]: borrowed
+    /// cursors, the smallest `(at, shard)` head pushed one record at a
+    /// time into a store of the same geometry.
+    fn reference_merge(mut shards: Vec<Trace>) -> Trace {
+        let n_msgs: usize = shards.iter().map(|t| t.messages.len()).sum();
+        let mut messages = MessageColumns::with_capacity(n_msgs);
+        messages.configure_chunks(
+            shards[0].messages.chunk_rows,
+            shards[0].messages.spill_dir.clone(),
+        );
+        let mut conns: Vec<(usize, ConnectionRecord)> = shards
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(shard, t)| t.connections.drain(..).map(move |c| (shard, c)))
+            .collect();
+        conns.sort_by_key(|(shard, c)| (c.start, *shard));
+        let mut remap: Vec<Vec<u64>> = vec![Vec::new(); shards.len()];
+        let mut connections = Vec::with_capacity(conns.len());
+        for (new_id, (shard, mut c)) in conns.into_iter().enumerate() {
+            let old = c.id.0 as usize;
+            if remap[shard].len() <= old {
+                remap[shard].resize(old + 1, u64::MAX);
+            }
+            remap[shard][old] = new_id as u64;
+            c.id = SessionId(new_id as u64);
+            connections.push(c);
+        }
+        let mut heads: Vec<_> = shards
+            .iter()
+            .map(|t| {
+                let mut cur = t.messages.cursor();
+                std::iter::from_fn(move || cur.next_with_wire()).peekable()
+            })
+            .collect();
+        loop {
+            let mut best: Option<(SimTime, usize)> = None;
+            for (shard, it) in heads.iter_mut().enumerate() {
+                if let Some(&(m, _)) = it.peek() {
+                    if best.is_none_or(|(bt, _)| m.at < bt) {
+                        best = Some((m.at, shard));
+                    }
+                }
+            }
+            let Some((_, shard)) = best else { break };
+            let (mut m, wire) = heads[shard].next().unwrap();
+            m.session = SessionId(remap[shard][m.session.0 as usize]);
+            messages.push_with_wire(m, wire);
+        }
+        Trace {
+            connections,
+            messages,
+            wire_bytes: shards.iter().map(|t| t.wire_bytes).sum(),
+        }
+    }
+
+    /// A shard trace of `n` varied records over 7 sessions, every row
+    /// stamped with its shard in the first GUID byte; `per_ms` rows share
+    /// each arrival time (10 ms apart), so times tie within and across
+    /// shards.
+    fn shard_trace(
+        shard: u8,
+        n: usize,
+        per_ms: usize,
+        chunk_rows: usize,
+        spill: Option<PathBuf>,
+    ) -> Trace {
+        let mut t = Trace::new();
+        t.messages.configure_chunks(chunk_rows, spill);
+        if n == 0 {
+            return t;
+        }
+        for i in 0..7u64 {
+            t.connections.push(ConnectionRecord {
+                id: SessionId(i),
+                addr: Ipv4Addr::new(24, shard, 0, i as u8),
+                user_agent: format!("Client/{shard}/{i}"),
+                ultrapeer: i % 2 == 0,
+                start: SimTime::from_secs(i),
+                end: None,
+                closed_by_probe: false,
+            });
+        }
+        for (i, mut r) in varied_records(n).into_iter().enumerate() {
+            r.at = SimTime::from_millis(1_000 + (i / per_ms) as u64 * 10);
+            r.guid.0[0] = shard;
+            t.messages
+                .push_with_wire(r, (i % 89) as u32 + u32::from(shard));
+        }
+        t.wire_bytes = 1_000 * u64::from(shard) + n as u64;
+        t
+    }
+
+    fn wires(t: &Trace) -> Vec<u32> {
+        let mut cur = t.messages.cursor();
+        std::iter::from_fn(move || cur.next_with_wire().map(|(_, w)| w)).collect()
+    }
+
+    /// The consuming, run-batched merge equals the record-by-record
+    /// reference — records, wire lengths, connection order and ids, and
+    /// resident bytes at capacity — on three sources (one empty) with
+    /// millisecond ties across them, 7-row sealed chunks plus tails, in
+    /// memory and spilled.
+    #[test]
+    fn merge_shards_matches_record_by_record_merge() {
+        let spill = std::env::temp_dir().join("p2pq-store-test-merge");
+        for spill_dir in [None, Some(spill)] {
+            // 3 + 5 rows per arrival time do not line up with the 7-row
+            // merged chunks, so the room cap does not hide a run that
+            // crosses a tie.
+            let shards = || {
+                vec![
+                    shard_trace(0, 400, 3, 7, spill_dir.clone()),
+                    shard_trace(1, 0, 1, 7, spill_dir.clone()),
+                    shard_trace(2, 453, 5, 7, spill_dir.clone()),
+                ]
+            };
+            let sources = shards();
+            assert_eq!(sources[0].messages.sealed_chunks(), 57);
+            assert_eq!(sources[2].messages.len() % 7, 5, "shard 2 keeps a tail");
+            let merged = Trace::merge_shards(sources);
+            let expected = reference_merge(shards());
+
+            assert_eq!(merged, expected);
+            assert_eq!(merged.messages.len(), 853);
+            assert_eq!(merged.messages.sealed_chunks(), 853 / 7);
+            assert_eq!(wires(&merged), wires(&expected));
+            assert_eq!(merged.wire_bytes, expected.wire_bytes);
+            assert_eq!(merged.mem_bytes(), expected.mem_bytes());
+            let ids: Vec<u64> = merged.connections.iter().map(|c| c.id.0).collect();
+            assert_eq!(ids, (0..14).collect::<Vec<u64>>());
+
+            // On an equal arrival time the earliest shard comes first,
+            // and such ties do occur across the two non-empty shards.
+            let rows: Vec<MessageRecord> = merged.messages.iter().collect();
+            let mut cross_ties = 0;
+            for w in rows.windows(2) {
+                assert!(w[0].at <= w[1].at);
+                if w[0].at == w[1].at {
+                    assert!(w[0].guid.0[0] <= w[1].guid.0[0]);
+                    cross_ties += usize::from(w[0].guid.0[0] != w[1].guid.0[0]);
+                }
+            }
+            assert_eq!(cross_ties, 91);
+        }
+    }
+
+    /// The merge reader frees each resident source chunk as it decodes
+    /// it: the source's resident chunk bytes fall with every chunk read
+    /// and reach 0 while the last chunk and the tail are still unread.
+    #[test]
+    fn merge_reader_frees_source_chunks_as_it_reads() {
+        let mut cols = MessageColumns::new();
+        cols.configure_chunks(64, None);
+        for r in varied_records(64 * 5 + 20) {
+            cols.push(r);
+        }
+        let full = cols.retained_chunk_bytes();
+        assert_eq!(cols.sealed_chunks(), 5);
+        let mut reader = SourceReader::new(cols);
+        let mut resident = vec![full];
+        let mut rows = 0;
+        loop {
+            let src = reader
+                .source
+                .as_ref()
+                .expect("source kept until its tail is read");
+            resident.push(src.retained_chunk_bytes());
+            if reader.next_chunk == 5 {
+                break;
+            }
+            rows += reader.batch.rows();
+            reader.advance_to(reader.batch.rows());
+        }
+        assert_eq!(resident.len(), 6, "{resident:?}");
+        assert!(resident.windows(2).all(|w| w[1] < w[0]), "{resident:?}");
+        assert_eq!(resident[5], 0);
+        assert!(
+            reader.head().is_some(),
+            "the last chunk and the tail are unread"
+        );
+        while reader.head().is_some() {
+            rows += reader.batch.rows() - reader.pos;
+            reader.advance_to(reader.batch.rows());
+        }
+        assert_eq!(rows, 64 * 5 + 20);
+        assert!(reader.source.is_none(), "an exhausted source is dropped");
     }
 
     #[test]
